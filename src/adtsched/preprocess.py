@@ -55,6 +55,10 @@ class NameCollision(ValueError):
     defines both ``b`` and ``b'``)."""
 
 
+class InternalError(RuntimeError):
+    """An invariant the algorithm relies on failed to hold."""
+
+
 class DagKind(Enum):
     SEQ = "seq"    # one unit of work
     NULL = "null"  # zero-duration join/ordering point
@@ -79,7 +83,7 @@ _KIND_OF = {
 }
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class DagNode:
     """A DAG node.  ``children`` are what the node waits for; ``parents`` is
     kept symmetric at all times.  ``index`` is the creation number and serves
@@ -105,11 +109,13 @@ class DagNode:
 
 class Dag:
     """Node container.  ``nodes`` is in creation order; ``root`` is None for
-    the empty DAG (a defence that cannot be beaten)."""
+    the empty DAG (a defence that cannot be beaten).  ``packing_start`` is
+    scheduler scratch, set only while a variant's agent count is searched."""
 
     def __init__(self):
         self.root: DagNode | None = None
         self.nodes: list[DagNode] = []
+        self.packing_start: tuple | None = None
         self._names: set[str] = set()
         self._next_index = 0
 
@@ -157,6 +163,24 @@ def reachable(dag: Dag) -> set:
         seen.add(node)
         stack.extend(node.children)
     return seen
+
+
+def children_first(dag: Dag) -> list[DagNode]:
+    """Topological order with every node after all of its children; reverse
+    it for parents first."""
+    pending = {id(x): len(x.children) for x in dag.nodes}
+    queue = [x for x in dag.nodes if not x.children]
+    order = []
+    while queue:
+        node = queue.pop()
+        order.append(node)
+        for parent in node.parents:
+            pending[id(parent)] -= 1
+            if pending[id(parent)] == 0:
+                queue.append(parent)
+    if len(order) != len(dag.nodes):
+        raise InternalError("cycle in DAG")
+    return order
 
 
 def copy_dag(dag: Dag, restrict: set | None = None) -> Dag:
@@ -517,20 +541,11 @@ class Case:
     variants: list
 
 
-def _depth_with_choices(dag: Dag, choices: dict) -> int:
+def _depth_with_choices(dag: Dag, order: list, choices: dict) -> int:
     """Root completion time when each chosen OR takes its chosen child and
-    every other OR takes its fastest one."""
+    every other OR takes its fastest one.  ``order`` is
+    :func:`children_first` of ``dag``."""
     depth: dict[int, int] = {}
-    order: list[DagNode] = []
-    pending = {id(x): len(x.children) for x in dag.nodes}
-    queue = [x for x in dag.nodes if not x.children]
-    while queue:
-        node = queue.pop()
-        order.append(node)
-        for parent in node.parents:
-            pending[id(parent)] -= 1
-            if pending[id(parent)] == 0:
-                queue.append(parent)
     for node in order:
         if not node.children:
             depth[id(node)] = 0
@@ -569,20 +584,22 @@ def enumerate_or_variants(dag: Dag) -> list[Variant]:
     variant."""
     if dag.root is None:
         return [Variant({}, {}, {}, dag, False)]
-    cp_min = _depth_with_choices(dag, {})
+    order = children_first(dag)
+    cp_min = _depth_with_choices(dag, order, {})
     kept: list[dict] = []
 
     choices: dict = {}
     choice_nodes: dict = {}
 
     def walk():
-        if _depth_with_choices(dag, choices) > cp_min:
+        depth = _depth_with_choices(dag, order, choices)
+        if depth > cp_min:
             return  # already slower than the best, no choice can fix it
         seen = _reachable_with_choices(dag, choices)
         open_ors = [x for x in seen
                     if x.kind is DagKind.OR and id(x) not in choices]
         if not open_ors:
-            if _depth_with_choices(dag, choices) == cp_min:
+            if depth == cp_min:
                 kept.append(dict(choices))
             return
         gate = min(open_ors, key=lambda x: x.index)

@@ -3,9 +3,10 @@
 Slots number the time steps 1..L backwards from the root: the root's depth
 is the total completion time L, a node assigned slot s runs during step s,
 and every node must sit in a strictly higher slot than each of the unit
-steps below it.  The scheduler fills slots greedily from the root down and
-bisects on the number of agents between a counting lower bound and the
-width of the level structure.
+steps below it.  The scheduler fills slots greedily from the root down,
+highest level first (Hu 1961): a heap holds the unit steps whose ancestors
+are all placed, deepest first.  It bisects on the number of agents between
+a counting lower bound and the width of the level structure.
 """
 
 from __future__ import annotations
@@ -13,8 +14,16 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 
-from .preprocess import Dag, DagKind, DagNode, Variant
+from .preprocess import (
+    Dag,
+    DagKind,
+    DagNode,
+    InternalError,
+    Variant,
+    children_first,
+)
 
 
 class ZeroSlots(ValueError):
@@ -23,10 +32,6 @@ class ZeroSlots(ValueError):
 
 class TooLarge(ValueError):
     """Instance above the brute-force limit."""
-
-
-class InternalError(RuntimeError):
-    """An invariant the algorithm relies on failed to hold."""
 
 
 @dataclass
@@ -39,8 +44,7 @@ class Bounds:
 def depth_node(dag: Dag) -> None:
     """Earliest completion time of every node, bottom-up: unit steps add 1,
     joins wait for all children, an OR needs only its fastest child."""
-    order = _children_first(dag)
-    for node in order:
+    for node in children_first(dag):
         if not node.children:
             node.depth = 0
         elif node.kind is DagKind.SEQ:
@@ -54,46 +58,13 @@ def depth_node(dag: Dag) -> None:
 def level_node(dag: Dag) -> None:
     """Distance from the root counted in unit steps crossed, top-down; a
     node reachable several ways takes the longest distance."""
-    order = _parents_first(dag)
-    for node in order:
+    for node in reversed(children_first(dag)):
         if not node.parents:
             node.level = 0
         else:
             node.level = max(
                 p.level + (1 if p.kind is DagKind.SEQ else 0)
                 for p in node.parents)
-
-
-def _children_first(dag: Dag) -> list:
-    pending = {id(x): len(x.children) for x in dag.nodes}
-    queue = [x for x in dag.nodes if not x.children]
-    order = []
-    while queue:
-        node = queue.pop()
-        order.append(node)
-        for parent in node.parents:
-            pending[id(parent)] -= 1
-            if pending[id(parent)] == 0:
-                queue.append(parent)
-    if len(order) != len(dag.nodes):
-        raise InternalError("cycle in DAG")
-    return order
-
-
-def _parents_first(dag: Dag) -> list:
-    pending = {id(x): len(x.parents) for x in dag.nodes}
-    queue = [x for x in dag.nodes if not x.parents]
-    order = []
-    while queue:
-        node = queue.pop()
-        order.append(node)
-        for child in node.children:
-            pending[id(child)] -= 1
-            if pending[id(child)] == 0:
-                queue.append(child)
-    if len(order) != len(dag.nodes):
-        raise InternalError("cycle in DAG")
-    return order
 
 
 def compute_bounds(dag: Dag, slots_override: int | None = None) -> Bounds:
@@ -122,72 +93,79 @@ def compute_bounds(dag: Dag, slots_override: int | None = None) -> Bounds:
     return Bounds(lower, upper, slots)
 
 
-def _blocked(node: DagNode, slot: int, cache: dict) -> bool:
-    """True when an ancestor is already assigned in this very slot (the
-    node would have to run strictly earlier).  Ancestors assigned in higher
-    slots end the walk: everything above them is settled even higher."""
-    if id(node) in cache:
-        return True
-    stack = list(node.parents)
-    seen = set()
+def _release(done, pending: list, ready: list) -> None:
+    """Count the ``done`` nodes as finished for their children.  A child
+    whose last pending parent this was is ready if it is a unit step, and
+    done in turn if it takes no time.  ``pending`` is indexed by node
+    ``index``; ``ready`` is a heap of ``(-depth, index, node)``."""
+    stack = list(done)
     while stack:
-        cur = stack.pop()
-        if id(cur) in seen:
-            continue
-        seen.add(id(cur))
-        if id(cur) in cache or cur.slot == slot:
-            cache[id(node)] = True
-            return True
-        if cur.slot == 0:
-            stack.extend(cur.parents)
-    return False
+        for child in stack.pop().children:
+            pending[child.index] -= 1
+            if not pending[child.index]:
+                if child.kind is DagKind.SEQ:
+                    heappush(ready, (-child.depth, child.index, child))
+                else:
+                    stack.append(child)
+
+
+def _packing_start(dag: Dag) -> tuple:
+    """The packer's state before its first slot, which no agent count
+    changes: every node's number of parents not yet done, the heap of ready
+    unit steps and the number of unit steps."""
+    pending = [0] * (max((x.index for x in dag.nodes), default=-1) + 1)
+    ready: list = []
+    roots = []
+    steps = 0
+    for node in dag.nodes:
+        pending[node.index] = len(node.parents)
+        if node.kind is DagKind.SEQ:
+            steps += 1
+            if not node.parents:
+                heappush(ready, (-node.depth, node.index, node))
+        elif not node.parents:
+            roots.append(node)
+    _release(roots, pending, ready)
+    return pending, ready, steps
 
 
 def schedule_candidate(dag: Dag, slots: int, agents: int):
     """Greedy assignment with a fixed agent count.
 
-    Walks levels from the root, keeping a pool of released unit steps, and
-    fills each slot deepest-first (ties by creation order).  Returns the
-    partial assignment and the number of unit steps left over; 0 leftovers
-    means the candidate count suffices.
+    Fills slots from ``slots`` down.  A unit step is ready once every parent
+    is done: a unit step placed in a strictly higher slot, or a
+    zero-duration node whose own parents are all done.  Each slot takes up
+    to ``agents`` ready steps, deepest first (ties by creation order), and
+    releases their children when it closes.  Returns the partial assignment
+    and the number of unit steps left over; 0 leftovers means the candidate
+    count suffices.
 
-    Expects ``depth`` and ``level`` to be populated (:func:`compute_bounds`
-    does both).
+    Expects ``depth`` to be populated (:func:`compute_bounds` does it) and
+    every OR to have one child, as in the variants of
+    :func:`enumerate_or_variants`.  Then depth strictly decreases along
+    every path between unit steps, so the deepest ready step is the deepest
+    unplaced one, and the packer places the same steps as a sweep over
+    levels that skips steps with an ancestor in the current slot.
     """
     for node in dag.nodes:
         node.agent = 0
         node.slot = 0
-    by_level: dict[int, list] = {}
-    n_remain = 0
-    for node in dag.nodes:
-        if node.kind is DagKind.SEQ:
-            by_level.setdefault(node.level, []).append(node)
-            n_remain += 1
-    pool: list = []
-    level, slot = 0, slots
+    start = dag.packing_start or _packing_start(dag)
+    pending, ready, n_remain = start[0].copy(), start[1].copy(), start[2]
+    slot = slots
     while n_remain > 0 and slot > 0:
-        pool.extend(by_level.get(level, []))
-        if any(x.depth > slot for x in pool):
+        if -ready[0][0] > slot:
             break  # some pending chain no longer fits below this slot
-        pool.sort(key=lambda x: (-x.depth, x.index))
-        cache: dict = {}
         occupants: dict[int, DagNode] = {}
         agent = 1
-        leftover = []
-        for i, node in enumerate(pool):
-            if agent > agents:
-                leftover.extend(pool[i:])
-                break
-            if _blocked(node, slot, cache):
-                leftover.append(node)
-                continue
+        while ready and agent <= agents:
+            node = heappop(ready)[2]
             node.agent, node.slot = agent, slot
             occupants[agent] = node
             agent += 1
-            n_remain -= 1
-        pool = leftover
+        n_remain -= agent - 1
         _reshuffle(dag, slot, agent - 1, occupants)
-        level += 1
+        _release(occupants.values(), pending, ready)
         slot -= 1
     assignment = {x: (x.agent, x.slot) for x in dag.nodes if x.slot}
     return assignment, n_remain
@@ -296,15 +274,9 @@ def _drop_unkept(dag: Dag) -> None:
     dag._names = {x.name for x in dag.nodes}
 
 
-def _schedule_variant(variant: Variant,
-                      slots_override: int | None) -> ScheduleResult:
-    if not variant.feasible:
-        return ScheduleResult(variant, False, 0, 0, None)
-    dag = variant.dag
-    _drop_unkept(dag)
-    if dag.n == 0:
-        return ScheduleResult(variant, True, 0, 0, None)
-    bounds = compute_bounds(dag, slots_override)
+def _min_agents(dag: Dag, bounds: Bounds) -> int:
+    """Bisect for the fewest agents the packer fits into ``bounds.slots``;
+    the node fields are left holding that assignment."""
     lower, upper = bounds.lower, bounds.upper
     last = None
     while upper - lower > 1:
@@ -323,9 +295,26 @@ def _schedule_variant(variant: Variant,
         if remaining != 0:
             raise InternalError("%d agents rejected despite width %d"
                                 % (upper, bounds.upper))
+    return upper
+
+
+def _schedule_variant(variant: Variant,
+                      slots_override: int | None) -> ScheduleResult:
+    if not variant.feasible:
+        return ScheduleResult(variant, False, 0, 0, None)
+    dag = variant.dag
+    _drop_unkept(dag)
+    if dag.n == 0:
+        return ScheduleResult(variant, True, 0, 0, None)
+    bounds = compute_bounds(dag, slots_override)
+    dag.packing_start = _packing_start(dag)
+    try:
+        agents = _min_agents(dag, bounds)
+    finally:
+        dag.packing_start = None
     zero_assign(dag)
     assignment = {x: (x.agent, x.slot) for x in dag.nodes}
-    return ScheduleResult(variant, True, bounds.slots, upper, bounds,
+    return ScheduleResult(variant, True, bounds.slots, agents, bounds,
                           assignment)
 
 
@@ -356,7 +345,7 @@ def _nearest_seq_ancestors(dag: Dag) -> dict:
     """node -> the closest unit steps above it (looking through zero
     nodes)."""
     out: dict[int, frozenset] = {}
-    for node in _parents_first(dag):
+    for node in reversed(children_first(dag)):
         acc: set = set()
         for parent in node.parents:
             if parent.kind is DagKind.SEQ:

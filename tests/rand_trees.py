@@ -1,4 +1,4 @@
-"""Seeded random tree builders shared by property and end-to-end tests."""
+"""Tree builders shared by property, scheduler and end-to-end tests."""
 
 import random
 
@@ -75,3 +75,14 @@ def random_small_adt(rng, seq_cap=12, **kwargs):
         adt = random_adt(rng, max_time=2, **kwargs)
         if 0 < sum(x.duration for x in adt.nodes.values()) <= seq_cap:
             return adt
+
+
+def chains_adt(durations):
+    """AND over independent attack chains with the given durations."""
+    labels = ["c%d" % i for i in range(len(durations))]
+    nodes = {"r": AdtNode("r", NodeKind.AND, children=labels,
+                          role=Role.ATTACK)}
+    for label, d in zip(labels, durations):
+        nodes[label] = AdtNode(label, NodeKind.LEAF, duration=d,
+                               role=Role.ATTACK)
+    return Adt(root="r", nodes=nodes)

@@ -66,6 +66,17 @@ def test_quoted_condition_survives_with_spaces():
     assert adt.node("a").condition == "door is open"
 
 
+@pytest.mark.parametrize("time, duration",
+                         [("7", 7), ("2h", 120), ("30min", 30)])
+def test_leaf_line_with_every_documented_attribute(time, duration):
+    """Every attribute form the README documents, on one leaf line."""
+    line = 'b: attack time=%s cost=500 condition="gate open"  # bribe\n' % time
+    node = parse_adt(line).node("b")
+    assert (node.kind, node.role) == (NodeKind.LEAF, Role.ATTACK)
+    assert (node.duration, node.cost) == (duration, 500)
+    assert node.condition == "gate open"
+
+
 def test_comments_and_blank_lines_ignored():
     text = "\n# leading comment\na: ATTACK time=1  # trailing\n\n"
     adt = parse_adt(text)

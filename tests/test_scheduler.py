@@ -1,3 +1,6 @@
+import math
+import random
+
 import pytest
 
 from adtsched import (
@@ -23,6 +26,7 @@ from adtsched import (
 from adtsched.preprocess import copy_dag
 
 from conftest import load_tree
+from rand_trees import chains_adt
 
 
 def variant_of(name):
@@ -102,6 +106,21 @@ def test_relaxed_deadline_needs_fewer_agents(treasure):
     assert results[0].slots == 185
     assert results[0].agents == 1
     assert not verify_schedule(results[0].variant.dag, slots=185)
+
+
+def test_relaxed_chains_need_mcnaughton_agents():
+    """Independent chains of total length n fit into S >= longest chain
+    slots on exactly ceil(n/S) agents (McNaughton 1959)."""
+    rng = random.Random(11)
+    for width in (6, 17, 30, 45):
+        durations = [1] + [rng.randint(1, 40) for _ in range(width - 1)]
+        slots = math.ceil(max(durations) * rng.uniform(1.25, 2.5))
+        variant, = preprocess(chains_adt(durations))
+        r, = min_schedule([variant], slots_override=slots)
+        assert (r.slots, r.agents) == (slots,
+                                       math.ceil(sum(durations) / slots))
+        assert verify_schedule(r.variant.dag, slots=slots,
+                               agents=r.agents) == []
 
 
 # -------------------------------------------------------------- assignment
