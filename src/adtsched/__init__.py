@@ -43,7 +43,6 @@ from .scheduler import (
     depth_node,
     level_node,
     min_schedule,
-    reshuffle_slot,
     schedule_candidate,
     verify_schedule,
     zero_assign,
@@ -72,7 +71,7 @@ __all__ = [
     "Bounds", "ScheduleResult", "Violation",
     "ZeroSlots", "TooLarge", "InternalError",
     "depth_node", "level_node", "compute_bounds", "schedule_candidate",
-    "reshuffle_slot", "zero_assign", "min_schedule", "verify_schedule",
+    "zero_assign", "min_schedule", "verify_schedule",
     "brute_force_min_agents",
     "render_table", "signature_heading", "to_json", "to_csv", "variant_cost",
     "InvalidParams", "generate_scaling_adt", "BENCH_ROWS", "bench_row",

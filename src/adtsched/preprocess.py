@@ -89,7 +89,7 @@ class DagNode:
     kept symmetric at all times.  ``index`` is the creation number and serves
     as the deterministic tie-breaker everywhere downstream.  ``depth``,
     ``level``, ``agent`` and ``slot`` are scratch fields owned by the
-    scheduler; ``keep`` marks nodes that survive OR pruning."""
+    scheduler."""
 
     name: str
     origin: str
@@ -101,7 +101,6 @@ class DagNode:
     level: int = 0
     agent: int = 0
     slot: int = 0
-    keep: bool = True
 
     def __repr__(self):
         return "DagNode(%r)" % self.name
@@ -109,8 +108,10 @@ class DagNode:
 
 class Dag:
     """Node container.  ``nodes`` is in creation order; ``root`` is None for
-    the empty DAG (a defence that cannot be beaten).  ``packing_start`` is
-    scheduler scratch, set only while a variant's agent count is searched."""
+    the empty DAG (a defence that cannot be beaten).  Names are unique; a
+    caller that looks nodes up by name builds its own dict once.
+    ``packing_start`` is scheduler scratch, set only while a variant's agent
+    count is searched."""
 
     def __init__(self):
         self.root: DagNode | None = None
@@ -132,12 +133,6 @@ class Dag:
     def n(self) -> int:
         """Number of unit steps to be scheduled."""
         return sum(1 for x in self.nodes if x.kind is DagKind.SEQ)
-
-    def find(self, name: str) -> DagNode | None:
-        for x in self.nodes:
-            if x.name == name:
-                return x
-        return None
 
 
 def link(parent: DagNode, child: DagNode) -> None:
@@ -195,7 +190,6 @@ def copy_dag(dag: Dag, restrict: set | None = None) -> Dag:
         twin = DagNode(node.name, node.origin, node.kind, node.index)
         twin.depth, twin.level = node.depth, node.level
         twin.agent, twin.slot = node.agent, node.slot
-        twin.keep = node.keep
         out._names.add(twin.name)
         out.nodes.append(twin)
         mapping[id(node)] = twin
@@ -383,19 +377,23 @@ def enumerate_defence_variants(adt: Adt) -> list[DefenceConfig]:
     return out
 
 
-def _prune_unreachable(dag: Dag) -> None:
+def _prune_unreachable(dag: Dag) -> set:
+    """Drop every node the root no longer reaches; returns the rest."""
     keep = reachable(dag)
+    if len(keep) == len(dag.nodes):
+        return keep  # reachable nodes are a subset of dag.nodes: all kept
     if not keep:
         dag.root = None
         dag.nodes = []
         dag._names = set()
-        return
+        return keep
     for node in dag.nodes:
         if node in keep:
             node.parents = [p for p in node.parents if p in keep]
             node.children = [c for c in node.children if c in keep]
     dag.nodes = [x for x in dag.nodes if x in keep]
     dag._names = {x.name for x in dag.nodes}
+    return keep
 
 
 def _fail(dag: Dag, start: DagNode, failed: set) -> None:
@@ -451,12 +449,12 @@ def apply_defence_config(dag: Dag, config: DefenceConfig, adt: Adt) -> Dag:
                  if adt.nodes[label].kind in COUNTER_KINDS]
     # reversed preorder is not postorder, but it does visit descendants
     # before ancestors, which is all the resolution order needs
+    by_name = {x.name: x for x in dag.nodes}
+    alive = _prune_unreachable(dag)
     failed: set = set()
     for label in postorder:
-        remnant = dag.find(label + "'")
-        if remnant is None or remnant in failed:
-            continue
-        if remnant not in reachable(dag):
+        remnant = by_name.get(label + "'")
+        if remnant not in alive or remnant in failed:
             continue
         defence_root = adt.nodes[label].children[1]
         status = _status(adt, defence_root, config)
@@ -488,8 +486,7 @@ def apply_defence_config(dag: Dag, config: DefenceConfig, adt: Adt) -> Dag:
                     dag.nodes = []
                     dag._names = set()
                     return dag
-        _prune_unreachable(dag)
-    _prune_unreachable(dag)
+        alive = _prune_unreachable(dag)
     return dag
 
 
@@ -613,13 +610,15 @@ def enumerate_or_variants(dag: Dag) -> list[Variant]:
 
     variants: list[Variant] = []
     digests: set = set()
-    kept_nodes: set = set()
     for chosen in kept:
         seen = _reachable_with_choices(dag, chosen)
-        kept_nodes |= seen
+        # a later choice can cut off an OR chosen earlier
+        chosen = {key: child for key, child in chosen.items()
+                  if choice_nodes[key] in seen}
         vdag = copy_dag(dag, restrict=seen)
+        by_name = {x.name: x for x in vdag.nodes}
         for key, child in chosen.items():
-            gate = vdag.find(choice_nodes[key].name)
+            gate = by_name[choice_nodes[key].name]
             for other in list(gate.children):
                 if other.name != child.name:
                     unlink(gate, other)
@@ -631,8 +630,6 @@ def enumerate_or_variants(dag: Dag) -> list[Variant]:
         or_map = {choice_nodes[key].origin: child.origin
                   for key, child in chosen.items()}
         variants.append(Variant({}, {}, or_map, vdag, True))
-    for node in dag.nodes:
-        node.keep = node in kept_nodes
     return variants
 
 

@@ -27,10 +27,7 @@ def variant_cost(result: ScheduleResult, adt: Adt) -> int:
     return sum(adt.nodes[o].cost for o in origins if o in adt.nodes)
 
 
-def _rows(result: ScheduleResult):
-    cells: dict[tuple, list] = {}
-    for node, (agent, slot) in result.assignment.items():
-        cells.setdefault((slot, agent), []).append(node)
+def _rows(result: ScheduleResult, cells: dict):
     rows = []
     for slot in range(result.slots, 0, -1):
         row = []
@@ -41,18 +38,15 @@ def _rows(result: ScheduleResult):
     return rows
 
 
-def _chain_signatures(result):
+def _chain_signatures(result: ScheduleResult, cells: dict):
     """Per-slot tuple of per-agent origins for rows that hold nothing but
     one unit step per busy agent; None where any cell breaks the pattern."""
-    mapping: dict[tuple, list] = {}
-    for node, (agent, slot) in result.assignment.items():
-        mapping.setdefault((slot, agent), []).append(node)
     signatures = {}
     for slot in range(result.slots, 0, -1):
         sig = []
         nonempty = 0
         for agent in range(1, result.agents + 1):
-            nodes = mapping.get((slot, agent), [])
+            nodes = cells.get((slot, agent), [])
             if not nodes:
                 sig.append(None)
                 continue
@@ -71,9 +65,12 @@ def render_table(result: ScheduleResult, elide: bool = False) -> str:
     An infeasible variant renders as its banner instead."""
     if not result.feasible:
         return "attack impossible\n"
-    rows = _rows(result)
+    cells: dict[tuple, list] = {}  # (slot, agent) -> nodes
+    for node, (agent, slot) in result.assignment.items():
+        cells.setdefault((slot, agent), []).append(node)
+    rows = _rows(result, cells)
     if elide:
-        by_slot = _chain_signatures(result)
+        by_slot = _chain_signatures(result, cells)
         signatures = [by_slot[slot] for slot, _ in rows]
         kept = []
         i = 0

@@ -11,8 +11,6 @@ a counting lower bound and the width of the level structure.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 
@@ -182,6 +180,9 @@ def _chain_parent(node: DagNode) -> DagNode | None:
 
 def _reshuffle(dag: Dag, slot: int, num_agents: int,
                occupants: dict) -> None:
+    """Swap same-slot assignments so each unit step stays with the agent
+    that carries its chain, keeping hand-offs to a minimum.  ``occupants``
+    maps agent -> the unit step it runs in ``slot`` and is updated too."""
     for agent in range(1, num_agents + 1):
         current = occupants.get(agent)
         if current is None:
@@ -200,13 +201,6 @@ def _reshuffle(dag: Dag, slot: int, num_agents: int,
             del occupants[current.agent]
         current.agent = target
         occupants[target] = current
-
-
-def reshuffle_slot(dag: Dag, slot: int, num_agents: int) -> None:
-    """Swap same-slot assignments so each unit step stays with the agent
-    that carries its chain, keeping hand-offs to a minimum."""
-    occupants = {x.agent: x for x in dag.nodes if x.slot == slot}
-    _reshuffle(dag, slot, num_agents, occupants)
 
 
 def zero_assign(dag: Dag) -> None:
@@ -263,17 +257,6 @@ class ScheduleResult:
         return self.variant.dag.n
 
 
-def _drop_unkept(dag: Dag) -> None:
-    if all(x.keep for x in dag.nodes):
-        return
-    for node in dag.nodes:
-        if node.keep:
-            node.children = [c for c in node.children if c.keep]
-            node.parents = [p for p in node.parents if p.keep]
-    dag.nodes = [x for x in dag.nodes if x.keep]
-    dag._names = {x.name for x in dag.nodes}
-
-
 def _min_agents(dag: Dag, bounds: Bounds) -> int:
     """Bisect for the fewest agents the packer fits into ``bounds.slots``;
     the node fields are left holding that assignment."""
@@ -303,7 +286,6 @@ def _schedule_variant(variant: Variant,
     if not variant.feasible:
         return ScheduleResult(variant, False, 0, 0, None)
     dag = variant.dag
-    _drop_unkept(dag)
     if dag.n == 0:
         return ScheduleResult(variant, True, 0, 0, None)
     bounds = compute_bounds(dag, slots_override)
@@ -320,17 +302,8 @@ def _schedule_variant(variant: Variant,
 
 def min_schedule(variants: list,
                  slots_override: int | None = None) -> list:
-    """Schedule every variant with the fewest agents that still meet its
-    fastest completion time.  ADT_SCHED_THREADS > 1 spreads variants over a
-    thread pool; results keep the input order either way."""
-    try:
-        threads = int(os.environ.get("ADT_SCHED_THREADS", "1") or "1")
-    except ValueError:
-        threads = 1
-    if threads > 1 and len(variants) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(
-                lambda v: _schedule_variant(v, slots_override), variants))
+    """Schedule every variant, in order, with the fewest agents that still
+    meet its fastest completion time (or ``slots_override`` slots)."""
     return [_schedule_variant(v, slots_override) for v in variants]
 
 

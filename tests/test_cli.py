@@ -225,10 +225,3 @@ def test_identical_invocations_are_byte_identical(capsys, argv):
     first = run(capsys, *argv)
     second = run(capsys, *argv)
     assert first == second
-
-
-def test_thread_count_does_not_change_output(capsys, monkeypatch):
-    _, baseline, _ = run(capsys, "schedule", IOT, "--json", "--all-or-variants")
-    monkeypatch.setenv("ADT_SCHED_THREADS", "8")
-    _, threaded, _ = run(capsys, "schedule", IOT, "--json", "--all-or-variants")
-    assert baseline == threaded

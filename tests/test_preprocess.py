@@ -15,7 +15,6 @@ from adtsched import (
     compute_time_unit,
     defence_signature,
     enumerate_defence_variants,
-    enumerate_or_variants,
     expand_sand,
     normalize_time,
     parse_adt,
@@ -274,15 +273,6 @@ def test_equal_or_branches_both_enumerated():
     assert [v.or_choices for v in live[0].variants] == [{"CPN": "AL"}, {"CPN": "AW"}]
 
 
-def test_unchosen_branches_lose_their_keep_flag():
-    dag = build_tree(load_tree("treasure"))
-    adt = load_tree("treasure")
-    cut = apply_defence_config(dag, {"p": FAILED}, adt)
-    enumerate_or_variants(cut)
-    dropped = {x.origin for x in cut.nodes if not x.keep}
-    assert "e" in dropped
-
-
 def test_or_choices_only_list_reachable_gates():
     cases = preprocess_cases(load_tree("gain-admin"))
     choice_sets = sorted(tuple(sorted(v.or_choices.items()))
@@ -333,7 +323,6 @@ def test_canonical_form_of_nothing():
 
 def test_copy_preserves_structure_and_flags():
     dag = build_tree(load_tree("treasure"))
-    dag.nodes[3].keep = False
     twin = copy_dag(dag)
     assert names(twin) == names(dag)
     assert twin.root.name == dag.root.name
@@ -341,7 +330,6 @@ def test_copy_preserves_structure_and_flags():
     for node in dag.nodes:
         assert [c.name for c in by[node.name].children] == [c.name for c in node.children]
         assert by[node.name].index == node.index
-        assert by[node.name].keep == node.keep
 
 
 def test_restricted_copy_drops_the_rest():

@@ -6,6 +6,7 @@ round-trip at the bottom uses hypothesis to explore text-level variation.
 
 import random
 
+import pytest
 from hypothesis import given, strategies as st
 
 from adtsched import (
@@ -20,13 +21,14 @@ from adtsched import (
     parse_adt,
     preprocess_cases,
     apply_defence_config,
-    reshuffle_slot,
     serialize_adt,
     validate_adt,
     verify_schedule,
 )
 from adtsched.preprocess import canonical_form, copy_dag, reachable
+from adtsched.scheduler import _reshuffle
 
+from conftest import TREES
 from rand_trees import random_adt, random_small_adt
 
 SEED = 20260815
@@ -97,6 +99,16 @@ def test_every_variant_node_is_reachable():
             for variant in case.variants:
                 if variant.dag.root is not None:
                     assert reachable(variant.dag) == set(variant.dag.nodes)
+
+
+def test_resolved_defences_leave_only_reachable_nodes():
+    adts = [parse_adt(path.read_text()) for path in sorted(TREES.glob("*.adt"))]
+    adts += forest(200, defence_prob=0.3)
+    for adt in adts:
+        base = expand_sand(normalize_time(adt))
+        for config in enumerate_defence_variants(adt):
+            dag = apply_defence_config(copy_dag(base), config, adt)
+            assert set(dag.nodes) == reachable(dag)
 
 
 def test_failed_defences_never_remove_attack_work():
@@ -204,7 +216,8 @@ def test_reshuffle_preserves_slots_and_load():
         for x in dag.nodes:
             if x.kind is DagKind.SEQ:
                 before_load[x.slot] = before_load.get(x.slot, 0) + 1
-        reshuffle_slot(dag, slot, r.agents)
+        _reshuffle(dag, slot, r.agents,
+                   {x.agent: x for x in dag.nodes if x.slot == slot})
         assert {x.name: x.slot for x in dag.nodes} == before_slots
         after_load = {}
         for x in dag.nodes:
@@ -227,6 +240,21 @@ def test_zero_duration_nodes_share_a_neighbouring_cell():
                     near = {(x.agent, x.slot) for x in node.children}
                     near |= {(x.agent, x.slot) for x in node.parents}
                     assert cell in near
+
+
+@pytest.mark.parametrize("seed", [101, 490, 4813])
+def test_or_choice_cut_off_by_a_later_choice(seed):
+    # a later OR choice makes an OR chosen earlier unreachable
+    adt = random_adt(random.Random(seed), max_leaves=12, max_time=3,
+                     defence_prob=0.2)
+    for case in preprocess_cases(adt):
+        for r in min_schedule(case.variants):
+            if not r.feasible:
+                continue
+            dag = r.variant.dag
+            assert verify_schedule(dag) == []
+            assert r.agents == brute_force_min_agents(copy_dag(dag), r.slots,
+                                                      limit=18)
 
 
 def test_exhaustive_oracle_agrees():

@@ -18,12 +18,12 @@ from adtsched import (
     normalize_time,
     parse_adt,
     preprocess,
-    reshuffle_slot,
     schedule_candidate,
     verify_schedule,
     zero_assign,
 )
 from adtsched.preprocess import copy_dag
+from adtsched.scheduler import _reshuffle
 
 from conftest import load_tree
 from rand_trees import chains_adt
@@ -196,7 +196,8 @@ def test_reshuffle_only_permutes_within_a_slot():
     per_slot = {}
     for x in seqs(dag):
         per_slot.setdefault(x.slot, set()).add(x.agent)
-    reshuffle_slot(dag, 2, r.agents)
+    _reshuffle(dag, 2, r.agents,
+               {x.agent: x for x in dag.nodes if x.slot == 2})
     after = {x.name: (x.slot, x.agent) for x in dag.nodes}
     assert {n: s for n, (s, _) in before.items()} == {n: s for n, (s, _) in after.items()}
     got = {x.agent for x in seqs(dag) if x.slot == 2}
@@ -302,15 +303,3 @@ def test_exhaustive_rejects_large_inputs(treasure):
     v = [x for x in preprocess(treasure) if x.feasible][0]
     with pytest.raises(TooLarge):
         brute_force_min_agents(copy_dag(v.dag))
-
-
-def test_threads_do_not_change_results(monkeypatch, forestall):
-    vs = preprocess(forestall)
-    monkeypatch.setenv("ADT_SCHED_THREADS", "4")
-    parallel = min_schedule(vs)
-    monkeypatch.delenv("ADT_SCHED_THREADS")
-    serial = min_schedule(vs)
-    assert [(r.feasible, r.slots, r.agents) for r in parallel] \
-        == [(r.feasible, r.slots, r.agents) for r in serial]
-    assert [{n.name: c for n, c in r.assignment.items()} for r in parallel] \
-        == [{n.name: c for n, c in r.assignment.items()} for r in serial]
