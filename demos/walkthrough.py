@@ -30,23 +30,25 @@ def main():
     print("tree: %s  (%d nodes, root %s)" % (path.name, len(adt.nodes), adt.root))
 
     tunit = compute_time_unit(adt)
-    print("\n== stage 1: time normalisation (one slot = %d time unit%s)"
+    print("\n== the whole tree, defences included, before any outcome is fixed")
+    print("== time normalisation (one slot = %d time unit%s)"
           % (tunit, "" if tunit == 1 else "s"))
     dag = normalize_time(adt)
     print("   %d nodes, %d of them unit steps" % (len(dag.nodes), dag.n))
 
-    print("\n== stage 2: sequential gates become ordering joints")
+    print("\n== sequential gates become ordering joints")
     dag = expand_sand(dag)
     joints = sum(1 for x in dag.nodes if x.kind is DagKind.NULL)
     print("   %d nodes, %d zero-duration joints" % (len(dag.nodes), joints))
 
-    print("\n== stage 3+4: defence outcomes, then one choice per OR gate")
+    print("\n== defence outcomes, each resolved on the tree and built as its own"
+          " DAG, then one choice per OR gate")
     cases = preprocess_cases(adt)
     for i, case in enumerate(cases, 1):
         tag = signature_heading(case.signature)
         print("   case %d (%s): %d variant(s)" % (i, tag, len(case.variants)))
 
-    print("\n== stage 5: minimal schedules")
+    print("\n== minimal schedules")
     for case in cases:
         results = min_schedule(case.variants)
         live = [r for r in results if r.feasible]

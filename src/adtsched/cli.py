@@ -182,15 +182,18 @@ def cmd_variants(ns) -> int:
             if not variant.feasible:
                 lines.append("  attack impossible")
                 continue
-            bounds = compute_bounds(variant.dag)
             choice = ""
             if variant.or_choices:
                 choice = "[%s] " % ", ".join(
                     "%s=%s" % kv for kv in variant.or_choices.items())
-            lines.append(
-                "  variant %d: %sn=%d slots=%d bounds (%d,%d]"
-                % (vindex, choice, variant.dag.n, bounds.slots,
-                   bounds.lower, bounds.upper))
+            n = variant.dag.n
+            line = "  variant %d: %sn=%d" % (vindex, choice, n)
+            if n == 0:  # nothing to schedule, so no agent bounds
+                lines.append(line + " slots=0")
+                continue
+            bounds = compute_bounds(variant.dag)
+            lines.append(line + " slots=%d bounds (%d,%d]"
+                         % (bounds.slots, bounds.lower, bounds.upper))
     sys.stdout.write("\n".join(lines) + "\n")
     return 0
 

@@ -5,13 +5,15 @@ unit-duration steps (``SEQ`` nodes) must each get an agent and a time slot,
 with every node waiting for all of its children.  Getting there takes four
 steps, each exposed on its own because they are useful separately:
 
-1. :func:`normalize_time` -- split every timed node into a chain of unit
-   steps above a zero-duration remnant of the node itself,
-2. :func:`expand_sand` -- rewrite ordered conjunctions into cross-links so
+1. :func:`apply_defence_config` -- fix the outcome of every countermeasure
+   and resolve the tree, bottom-up, to what the attacker still has to do
+   (possibly nothing: a winning defence leaves an empty DAG); the
+   remainder's DAG is then built once with the next two steps,
+2. :func:`normalize_time` -- split every timed node into a chain of unit
+   steps above a zero-duration remnant of the node itself (called on its
+   own, it turns the whole unresolved tree into a DAG),
+3. :func:`expand_sand` -- rewrite ordered conjunctions into cross-links so
    that each segment waits for the previous one,
-3. :func:`apply_defence_config` -- fix the outcome of every countermeasure
-   and cut the tree down to what the attacker still has to do (possibly
-   nothing: a winning defence leaves an empty DAG),
 4. :func:`enumerate_or_variants` -- materialise one DAG per combination of
    OR choices that achieves the fastest possible completion.
 
@@ -220,38 +222,52 @@ def compute_time_unit(adt: Adt) -> int:
     return unit
 
 
-def normalize_time(adt: Adt, tunit: int | None = None) -> Dag:
-    """Expand every node of duration t into a chain of t/tunit unit steps
-    ``X_1 .. X_k`` feeding into a zero-duration remnant ``X'`` that keeps the
-    node's kind and original children.  Zero-duration nodes just become their
-    remnant.  Node creation order is depth-first over the tree, which fixes
-    all scheduling tie-breaks downstream.
-    """
-    if tunit is None:
-        tunit = compute_time_unit(adt)
+def _build(adt: Adt, tunit: int, shape: dict) -> Dag:
+    """DAG of the part of ``adt`` that ``shape`` (label -> (DagKind,
+    children)) reaches from the root.  Every node of duration t becomes a
+    chain of t/tunit unit steps ``X_1 .. X_k`` feeding into a zero-duration
+    remnant ``X'`` with the shape's kind and children.  Node creation order
+    is depth-first over the shape, which fixes all scheduling tie-breaks
+    downstream."""
     dag = Dag()
     tops: dict[str, DagNode] = {}
     remnants: dict[str, DagNode] = {}
-    order = preorder(adt)
+    order, stack = [], [adt.root]
+    while stack:
+        label = stack.pop()
+        order.append(label)
+        stack.extend(reversed(shape[label][1]))
     for label in order:
-        node = adt.nodes[label]
-        if node.duration % tunit:
+        duration = adt.nodes[label].duration
+        if duration % tunit:
             raise NonDivisibleDuration(
                 "duration %d of %r is not a multiple of %d"
-                % (node.duration, label, tunit))
-        remnant = dag.new_node(label + "'", label, _KIND_OF[node.kind])
+                % (duration, label, tunit))
+        remnant = dag.new_node(label + "'", label, shape[label][0])
         top = remnant
-        for i in range(1, node.duration // tunit + 1):
+        for i in range(1, duration // tunit + 1):
             step = dag.new_node("%s_%d" % (label, i), label, DagKind.SEQ)
             link(step, top)
             top = step
         remnants[label] = remnant
         tops[label] = top
     for label in order:
-        for child in adt.nodes[label].children:
+        for child in shape[label][1]:
             link(remnants[label], tops[child])
     dag.root = tops[adt.root]
     return dag
+
+
+def normalize_time(adt: Adt, tunit: int | None = None) -> Dag:
+    """The whole tree, defence subtrees and counter gates included, as a
+    DAG: every node of duration t becomes a chain of t/tunit unit steps
+    ``X_1 .. X_k`` feeding into a zero-duration remnant ``X'`` that keeps
+    the node's kind and original children."""
+    if tunit is None:
+        tunit = compute_time_unit(adt)
+    shape = {label: (_KIND_OF[node.kind], node.children)
+             for label, node in adt.nodes.items()}
+    return _build(adt, tunit, shape)
 
 
 def _subtree_leaves(top: DagNode) -> list[DagNode]:
@@ -377,117 +393,46 @@ def enumerate_defence_variants(adt: Adt) -> list[DefenceConfig]:
     return out
 
 
-def _prune_unreachable(dag: Dag) -> set:
-    """Drop every node the root no longer reaches; returns the rest."""
-    keep = reachable(dag)
-    if len(keep) == len(dag.nodes):
-        return keep  # reachable nodes are a subset of dag.nodes: all kept
-    if not keep:
-        dag.root = None
-        dag.nodes = []
-        dag._names = set()
-        return keep
-    for node in dag.nodes:
-        if node in keep:
-            node.parents = [p for p in node.parents if p in keep]
-            node.children = [c for c in node.children if c in keep]
-    dag.nodes = [x for x in dag.nodes if x in keep]
-    dag._names = {x.name for x in dag.nodes}
-    return keep
+def _resolve(adt: Adt, config: DefenceConfig) -> dict:
+    """label -> (DagKind, children) for every node that can still happen
+    under ``config``, by the rules of :func:`apply_defence_config`; the
+    root is missing when the attack is impossible."""
+    status = defence_signature(adt, config)
+    shape: dict = {}
+    for label in reversed(preorder(adt)):  # descendants before ancestors
+        node = adt.nodes[label]
+        if node.kind is NodeKind.OR:
+            kids = [c for c in node.children if c in shape]
+            if kids:
+                shape[label] = (DagKind.OR, kids)
+        elif node.kind in COUNTER_KINDS:
+            action, counter = node.children
+            nodef = node.kind is NodeKind.NODEF
+            if nodef and status[counter] == FAILED:
+                shape[label] = (DagKind.NULL, [])  # action unnecessary
+            elif action in shape and (nodef or status[counter] == FAILED):
+                shape[label] = (DagKind.NULL, [action])
+        elif all(c in shape for c in node.children):
+            shape[label] = (_KIND_OF[node.kind], node.children)
+    return shape
 
 
-def _fail(dag: Dag, start: DagNode, failed: set) -> None:
-    """A node cannot happen: its parents cannot either, except an OR parent,
-    which just loses the branch (and fails only once it has lost them all)."""
-    stack = [start]
-    while stack:
-        node = stack.pop()
-        if node in failed:
-            continue
-        failed.add(node)
-        for parent in list(node.parents):
-            if parent in failed:
-                continue
-            if parent.kind is DagKind.OR:
-                unlink(parent, node)
-                if not parent.children:
-                    stack.append(parent)
-            else:
-                stack.append(parent)
+def apply_defence_config(adt: Adt, config: DefenceConfig) -> Dag:
+    """The attacker's remaining work under ``config``, time-normalised and
+    SAND-expanded; empty when some operating defence makes the root
+    impossible.
 
-
-def _reattach_orphans(dag: Dag, gate: DagNode, deleted: set) -> None:
-    """Deleting a subtree can strand ordering links whose parents all lived
-    inside it but whose own segment is still required (they sit *between*
-    two segments of an enclosing ordered conjunction).  Re-parent those
-    under the gate's replacement join point so the earlier segments stay in
-    the DAG.  ``deleted`` is the set of tree labels that were cut."""
-    while True:
-        alive = reachable(dag)
-        orphans = [x for x in dag.nodes
-                   if x not in alive
-                   and x.kind is DagKind.NULL
-                   and x.origin not in deleted]
-        if not orphans:
-            return
-        for orphan in sorted(orphans, key=lambda x: x.index):
-            link(gate, orphan)
-
-
-def apply_defence_config(dag: Dag, config: DefenceConfig, adt: Adt) -> Dag:
-    """Resolve every countermeasure under ``config`` and reduce ``dag`` to
-    the attacker's remaining work.  Mutates and returns ``dag``; the result
-    is empty when some operating defence makes the root impossible.
-
-    Per counter gate (innermost first): a failed countermeasure leaves the
-    action needed (the defence subtree is dropped); an operating one kills
-    the action for CAND/SCAND -- the failure climbs until an OR can switch
-    branches -- while for NODEF it makes the action *unnecessary* (both
-    subtrees are dropped and only a zero-duration trace of the gate stays).
+    The tree is resolved bottom-up: an OR keeps the children that are still
+    possible, AND and SAND need all of theirs.  A CAND or SCAND needs its
+    countermeasure to fail; a NODEF needs its action only while the
+    countermeasure operates (a failed one makes the action unnecessary).
+    Defence subtrees never enter the DAG; each resolved counter gate stays
+    as a zero-duration join over its action, or over nothing.
     """
-    postorder = [label for label in reversed(preorder(adt))
-                 if adt.nodes[label].kind in COUNTER_KINDS]
-    # reversed preorder is not postorder, but it does visit descendants
-    # before ancestors, which is all the resolution order needs
-    by_name = {x.name: x for x in dag.nodes}
-    alive = _prune_unreachable(dag)
-    failed: set = set()
-    for label in postorder:
-        remnant = by_name.get(label + "'")
-        if remnant not in alive or remnant in failed:
-            continue
-        defence_root = adt.nodes[label].children[1]
-        status = _status(adt, defence_root, config)
-        attack_top, defence_top = remnant.children[0], remnant.children[1]
-
-        if remnant.kind is DagKind.NODEF:
-            if status == FAILED:
-                unlink(remnant, defence_top)
-                unlink(remnant, attack_top)
-                remnant.kind = DagKind.NULL
-                deleted = set(preorder(adt, adt.nodes[label].children[0]))
-                deleted |= set(preorder(adt, defence_root))
-                _reattach_orphans(dag, remnant, deleted)
-            else:
-                unlink(remnant, defence_top)
-                remnant.kind = DagKind.NULL
-                _reattach_orphans(dag, remnant,
-                                  set(preorder(adt, defence_root)))
-        else:  # CAND / SCAND
-            if status == FAILED:
-                unlink(remnant, defence_top)
-                remnant.kind = DagKind.NULL
-                _reattach_orphans(dag, remnant,
-                                  set(preorder(adt, defence_root)))
-            else:
-                _fail(dag, remnant, failed)
-                if dag.root in failed:
-                    dag.root = None
-                    dag.nodes = []
-                    dag._names = set()
-                    return dag
-        alive = _prune_unreachable(dag)
-    return dag
+    shape = _resolve(adt, config)
+    if adt.root not in shape:
+        return Dag()
+    return expand_sand(_build(adt, compute_time_unit(adt), shape))
 
 
 def canonical_form(dag: Dag) -> str:
@@ -639,15 +584,12 @@ def preprocess_cases(adt: Adt) -> list[Case]:
     problems = validate_adt(adt)
     if problems:
         raise ValueError("invalid tree: %s" % problems[0].message)
-    tunit = compute_time_unit(adt)
-    base = expand_sand(normalize_time(adt, tunit))
     configs = enumerate_defence_variants(adt)
     cases: list[Case] = []
     by_digest: dict = {}
     for config in configs:
         sig = defence_signature(adt, config)
-        dag = apply_defence_config(copy_dag(base), config, adt)
-        variants = enumerate_or_variants(dag)
+        variants = enumerate_or_variants(apply_defence_config(adt, config))
         for variant in variants:
             variant.defences = config
             variant.signature = sig

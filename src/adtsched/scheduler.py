@@ -162,7 +162,7 @@ def schedule_candidate(dag: Dag, slots: int, agents: int):
             occupants[agent] = node
             agent += 1
         n_remain -= agent - 1
-        _reshuffle(dag, slot, agent - 1, occupants)
+        _reshuffle(agent - 1, occupants)
         _release(occupants.values(), pending, ready)
         slot -= 1
     assignment = {x: (x.agent, x.slot) for x in dag.nodes if x.slot}
@@ -178,11 +178,10 @@ def _chain_parent(node: DagNode) -> DagNode | None:
     return None
 
 
-def _reshuffle(dag: Dag, slot: int, num_agents: int,
-               occupants: dict) -> None:
+def _reshuffle(num_agents: int, occupants: dict) -> None:
     """Swap same-slot assignments so each unit step stays with the agent
     that carries its chain, keeping hand-offs to a minimum.  ``occupants``
-    maps agent -> the unit step it runs in ``slot`` and is updated too."""
+    maps agent -> the unit step it runs in one slot and is updated too."""
     for agent in range(1, num_agents + 1):
         current = occupants.get(agent)
         if current is None:

@@ -66,7 +66,7 @@ def level_sweep_candidate(dag, slots, agents):
             agent += 1
             n_remain -= 1
         pool = leftover
-        _reshuffle(dag, slot, agent - 1, occupants)
+        _reshuffle(agent - 1, occupants)
         level += 1
         slot -= 1
     assignment = {x: (x.agent, x.slot) for x in dag.nodes if x.slot}

@@ -100,6 +100,15 @@ def test_variants_show_merged_outcomes(capsys):
     assert "(also covers: inc FAILED, tla OPERATING; inc OPERATING, tla OPERATING)" in out
 
 
+def test_variants_with_no_unit_steps(capsys, tmp_path):
+    tree = tmp_path / "instant.adt"
+    tree.write_text("a: OR(b, c)\nb: ATTACK time=1\nc: ATTACK\n")
+    code, out, err = run(capsys, "variants", str(tree))
+    assert code == 0
+    assert out == "case 1: no defences\n  variant 1: [a=c] n=0 slots=0\n"
+    assert err == ""
+
+
 # ------------------------------------------------------------------- export
 
 

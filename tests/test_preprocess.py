@@ -16,6 +16,7 @@ from adtsched import (
     defence_signature,
     enumerate_defence_variants,
     expand_sand,
+    min_schedule,
     normalize_time,
     parse_adt,
     preprocess,
@@ -174,15 +175,14 @@ def test_defence_roots_in_gate_order():
 
 def test_operating_defence_kills_the_root():
     adt = parse_adt("a: CAND(b, d)\nb: ATTACK time=1\nd: DEFENCE time=1\n")
-    base = build("a: CAND(b, d)\nb: ATTACK time=1\nd: DEFENCE time=1\n")
-    dead = apply_defence_config(copy_dag(base), {"d": OPERATING}, adt)
+    dead = apply_defence_config(adt, {"d": OPERATING})
     assert dead.root is None and dead.nodes == []
 
 
 def test_failed_defence_leaves_a_joint():
     text = "a: CAND(b, d)\nb: ATTACK time=1\nd: DEFENCE time=1\n"
     adt = parse_adt(text)
-    live = apply_defence_config(copy_dag(build(text)), {"d": FAILED}, adt)
+    live = apply_defence_config(adt, {"d": FAILED})
     by = {x.name: x for x in live.nodes}
     assert names(live) == {"a'", "b'", "b_1"}
     assert by["a'"].kind is DagKind.NULL
@@ -192,7 +192,7 @@ def test_operating_defence_under_or_drops_one_branch():
     text = ("a: OR(g, c)\ng: CAND(b, d)\nb: ATTACK time=1\n"
             "c: ATTACK time=1\nd: DEFENCE time=1\n")
     adt = parse_adt(text)
-    cut = apply_defence_config(copy_dag(build(text)), {"d": OPERATING}, adt)
+    cut = apply_defence_config(adt, {"d": OPERATING})
     assert "b'" not in names(cut)
     assert "c_1" in names(cut)
     assert [c.name for c in cut.root.children] == ["c_1"]
@@ -203,15 +203,14 @@ def test_or_with_every_branch_countered_fails():
             "b: ATTACK time=1\nc: ATTACK time=1\n"
             "d1: DEFENCE time=1\nd2: DEFENCE time=1\n")
     adt = parse_adt(text)
-    cut = apply_defence_config(copy_dag(build(text)),
-                               {"d1": OPERATING, "d2": OPERATING}, adt)
+    cut = apply_defence_config(adt, {"d1": OPERATING, "d2": OPERATING})
     assert cut.nodes == []
 
 
 def test_nodef_operating_keeps_the_attack():
     text = "g: NODEF(b, d)\nb: ATTACK time=1\nd: DEFENCE time=1\n"
     adt = parse_adt(text)
-    on = apply_defence_config(copy_dag(build(text)), {"d": OPERATING}, adt)
+    on = apply_defence_config(adt, {"d": OPERATING})
     by = {x.name: x for x in on.nodes}
     assert names(on) == {"g'", "b'", "b_1"}
     assert by["g'"].kind is DagKind.NULL
@@ -220,7 +219,7 @@ def test_nodef_operating_keeps_the_attack():
 def test_nodef_failed_cuts_both_sides():
     text = "g: NODEF(b, d)\nb: ATTACK time=1\nd: DEFENCE time=1\n"
     adt = parse_adt(text)
-    off = apply_defence_config(copy_dag(build(text)), {"d": FAILED}, adt)
+    off = apply_defence_config(adt, {"d": FAILED})
     assert names(off) == {"g'"}
     assert off.root.kind is DagKind.NULL
     assert off.n == 0
@@ -232,7 +231,7 @@ def test_stranded_ordering_joint_is_reattached():
     text = ("s: SAND(x, g)\nx: ATTACK time=1\n"
             "g: NODEF(y, d)\ny: ATTACK time=2\nd: DEFENCE time=1\n")
     adt = parse_adt(text)
-    cut = apply_defence_config(copy_dag(build(text)), {"d": FAILED}, adt)
+    cut = apply_defence_config(adt, {"d": FAILED})
     by = {x.name: x for x in cut.nodes}
     assert [c.name for c in by["g'"].children] == ["s'_1"]
     assert [c.name for c in by["s'_1"].children] == ["x_1"]
@@ -240,12 +239,25 @@ def test_stranded_ordering_joint_is_reattached():
     assert reachable(cut) == set(cut.nodes)
 
 
+def test_failed_nodef_countermeasure_makes_the_action_unnecessary():
+    """The failed ``d`` makes ``c`` unnecessary, so the operating ``e``
+    that blocks ``c`` cannot make the attack impossible."""
+    adt = parse_adt("g: NODEF(c, d) time=2\nc: CAND(a, e)\na: ATTACK time=1\n"
+                    "d: DEFENCE time=1\ne: DEFENCE time=1\n")
+    outcome = {"d": FAILED, "e": OPERATING}
+    assert names(apply_defence_config(adt, outcome)) == {"g'", "g_1", "g_2"}
+    case, = [c for c in preprocess_cases(adt) if outcome in c.merged_signatures]
+    result, = min_schedule(case.variants)
+    assert result.feasible
+    assert result.slots == 2
+
+
 def test_all_failed_config_keeps_every_attack_node():
     for name in ("treasure", "forestall", "iot-dev", "gain-admin"):
         adt = load_tree(name)
         assert not validate_adt(adt)  # derives the roles
         config = {leaf: FAILED for leaf in enumerate_defence_variants(adt)[0]}
-        cut = apply_defence_config(copy_dag(build_tree(adt)), config, adt)
+        cut = apply_defence_config(adt, config)
         attack_origins = {l for l, nd in adt.nodes.items() if nd.role.value == "attack"}
         assert attack_origins <= {x.origin for x in cut.nodes}
 

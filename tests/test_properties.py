@@ -4,6 +4,8 @@ Everything here uses a fixed seed so failures reproduce; the parser
 round-trip at the bottom uses hypothesis to explore text-level variation.
 """
 
+import itertools
+import math
 import random
 
 import pytest
@@ -12,6 +14,8 @@ from hypothesis import given, strategies as st
 from adtsched import (
     DagKind,
     FAILED,
+    OPERATING,
+    NodeKind,
     brute_force_min_agents,
     compute_time_unit,
     enumerate_defence_variants,
@@ -105,9 +109,8 @@ def test_resolved_defences_leave_only_reachable_nodes():
     adts = [parse_adt(path.read_text()) for path in sorted(TREES.glob("*.adt"))]
     adts += forest(200, defence_prob=0.3)
     for adt in adts:
-        base = expand_sand(normalize_time(adt))
         for config in enumerate_defence_variants(adt):
-            dag = apply_defence_config(copy_dag(base), config, adt)
+            dag = apply_defence_config(adt, config)
             assert set(dag.nodes) == reachable(dag)
 
 
@@ -117,8 +120,7 @@ def test_failed_defences_never_remove_attack_work():
         if not configs:
             continue
         all_failed = {k: FAILED for k in configs[0]}
-        dag = apply_defence_config(
-            expand_sand(normalize_time(adt)), all_failed, adt)
+        dag = apply_defence_config(adt, all_failed)
         attack = {l for l, n in adt.nodes.items() if n.role.value == "attack"}
         assert attack <= {x.origin for x in dag.nodes}
 
@@ -216,8 +218,7 @@ def test_reshuffle_preserves_slots_and_load():
         for x in dag.nodes:
             if x.kind is DagKind.SEQ:
                 before_load[x.slot] = before_load.get(x.slot, 0) + 1
-        _reshuffle(dag, slot, r.agents,
-                   {x.agent: x for x in dag.nodes if x.slot == slot})
+        _reshuffle(r.agents, {x.agent: x for x in dag.nodes if x.slot == slot})
         assert {x.name: x.slot for x in dag.nodes} == before_slots
         after_load = {}
         for x in dag.nodes:
@@ -264,6 +265,72 @@ def test_exhaustive_oracle_agrees():
                 if not r.feasible or r.n == 0:
                     continue
                 assert brute_force_min_agents(copy_dag(r.variant.dag)) == r.agents
+
+
+# ------------------------------------------------------- tree-level oracle
+
+
+def defence_operates(adt, label, config):
+    node = adt.nodes[label]
+    if node.kind is NodeKind.LEAF:
+        return config[label] == OPERATING
+    states = [defence_operates(adt, c, config) for c in node.children]
+    return any(states) if node.kind is NodeKind.OR else all(states)
+
+
+def tree_critical_path(adt, label, config):
+    """Earliest completion of ``label`` read off the tree itself, or None
+    when the attack cannot succeed there.  AND waits for all children, SAND
+    runs them in turn, OR takes the fastest possible one; CAND and SCAND
+    need a failed countermeasure, and a NODEF whose countermeasure failed
+    needs nothing below it.  Every node then adds its own duration."""
+    node = adt.nodes[label]
+    if node.kind in (NodeKind.CAND, NodeKind.SCAND, NodeKind.NODEF):
+        action, counter = node.children
+        operating = defence_operates(adt, counter, config)
+        if node.kind is NodeKind.NODEF and not operating:
+            below = 0
+        elif node.kind is not NodeKind.NODEF and operating:
+            return None
+        else:
+            below = tree_critical_path(adt, action, config)
+    else:
+        kids = [tree_critical_path(adt, c, config) for c in node.children]
+        possible = [k for k in kids if k is not None]
+        if node.kind is NodeKind.OR:
+            below = min(possible, default=None)
+        elif len(possible) < len(kids):
+            below = None
+        elif node.kind is NodeKind.SAND:
+            below = sum(kids)
+        else:
+            below = max(kids, default=0)
+    return None if below is None else below + node.duration
+
+
+def test_outcomes_match_the_tree_critical_path():
+    for adt in forest(300, max_leaves=12, max_time=3, defence_prob=0.4):
+        tunit = math.gcd(*(x.duration for x in adt.nodes.values()))
+        slots_of = {}
+        for case in preprocess_cases(adt):
+            slots = [r.slots for r in min_schedule(case.variants)
+                     if r.feasible]
+            for sig in case.merged_signatures:
+                slots_of[frozenset(sig.items())] = min(slots, default=None)
+        leaves = [label for label, x in adt.nodes.items()
+                  if x.kind is NodeKind.LEAF and x.role.value == "defence"]
+        counters = [x.children[1] for x in adt.nodes.values()
+                    if x.kind in (NodeKind.CAND, NodeKind.SCAND,
+                                  NodeKind.NODEF)]
+        for combo in itertools.product((FAILED, OPERATING),
+                                       repeat=len(leaves)):
+            config = dict(zip(leaves, combo))
+            sig = frozenset(
+                (c, OPERATING if defence_operates(adt, c, config) else FAILED)
+                for c in counters)
+            path = tree_critical_path(adt, adt.root, config)
+            expected = None if path is None else path // tunit
+            assert slots_of[sig] == expected, (serialize_adt(adt), config)
 
 
 # -------------------------------------------------------------- round-trip

@@ -196,8 +196,7 @@ def test_reshuffle_only_permutes_within_a_slot():
     per_slot = {}
     for x in seqs(dag):
         per_slot.setdefault(x.slot, set()).add(x.agent)
-    _reshuffle(dag, 2, r.agents,
-               {x.agent: x for x in dag.nodes if x.slot == 2})
+    _reshuffle(r.agents, {x.agent: x for x in dag.nodes if x.slot == 2})
     after = {x.name: (x.slot, x.agent) for x in dag.nodes}
     assert {n: s for n, (s, _) in before.items()} == {n: s for n, (s, _) in after.items()}
     got = {x.agent for x in seqs(dag) if x.slot == 2}
