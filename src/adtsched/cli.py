@@ -8,7 +8,9 @@
     adtsched bench [--table-file PATH]
 
 Exit codes: 0 on success (an impossible attack is still a successful
-analysis), 1 on usage errors, 2 on parse or validation errors.
+analysis), 1 on usage errors, 2 on parse or validation errors, 3 on an
+internal error (an invariant of the algorithm failed; a bug, reported as
+``internal error: <message>`` on stderr).
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .report import (
     to_json,
     variant_cost,
 )
-from .scheduler import compute_bounds, min_schedule
+from .scheduler import InternalError, compute_bounds, min_schedule
 
 log = logging.getLogger(__name__)
 
@@ -270,7 +272,11 @@ def main(args=None) -> int:
         ns = arg_parser().parse_args(args)
     except SystemExit as stop:  # argparse exits; keep the int contract
         return int(stop.code or 0)
-    return _COMMANDS[ns.command](ns)
+    try:
+        return _COMMANDS[ns.command](ns)
+    except InternalError as exc:
+        print("internal error: %s" % exc, file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -7,18 +7,19 @@ steps, each exposed on its own because they are useful separately:
 
 1. :func:`apply_defence_config` -- fix the outcome of every countermeasure
    and resolve the tree, bottom-up, to what the attacker still has to do
-   (possibly nothing: a winning defence leaves an empty DAG); the
-   remainder's DAG is then built once with the next two steps,
-2. :func:`normalize_time` -- split every timed node into a chain of unit
+   (possibly nothing: a winning defence leaves an empty DAG),
+2. :func:`enumerate_or_variants` -- on that resolved tree, pick every
+   combination of OR choices that achieves the fastest possible
+   completion, and build each one's DAG once with the next two steps,
+3. :func:`normalize_time` -- split every timed node into a chain of unit
    steps above a zero-duration remnant of the node itself (called on its
    own, it turns the whole unresolved tree into a DAG),
-3. :func:`expand_sand` -- rewrite ordered conjunctions into cross-links so
-   that each segment waits for the previous one,
-4. :func:`enumerate_or_variants` -- materialise one DAG per combination of
-   OR choices that achieves the fastest possible completion.
+4. :func:`expand_sand` -- rewrite ordered conjunctions into cross-links so
+   that each segment waits for the previous one.
 
 :func:`preprocess` runs the whole pipeline over every inequivalent defence
-outcome and returns the resulting variants.
+outcome and returns the resulting variants.  Outcomes are merged by the
+label sets of their variants before any DAG is built.
 """
 
 from __future__ import annotations
@@ -142,11 +143,6 @@ def link(parent: DagNode, child: DagNode) -> None:
     child.parents.append(parent)
 
 
-def unlink(parent: DagNode, child: DagNode) -> None:
-    parent.children.remove(child)
-    child.parents.remove(parent)
-
-
 def reachable(dag: Dag) -> set:
     """All nodes reachable from the root along child edges."""
     seen: set = set()
@@ -222,13 +218,15 @@ def compute_time_unit(adt: Adt) -> int:
     return unit
 
 
-def _build(adt: Adt, tunit: int, shape: dict) -> Dag:
+def _build(adt: Adt, tunit: int, shape: dict, names: dict) -> Dag:
     """DAG of the part of ``adt`` that ``shape`` (label -> (DagKind,
     children)) reaches from the root.  Every node of duration t becomes a
     chain of t/tunit unit steps ``X_1 .. X_k`` feeding into a zero-duration
     remnant ``X'`` with the shape's kind and children.  Node creation order
     is depth-first over the shape, which fixes all scheduling tie-breaks
-    downstream."""
+    downstream.  ``names`` (label -> (``X'``, [``X_1`` .. ``X_k``])) is
+    filled as labels are met, so the DAGs built from one table share their
+    name strings."""
     dag = Dag()
     tops: dict[str, DagNode] = {}
     remnants: dict[str, DagNode] = {}
@@ -238,15 +236,20 @@ def _build(adt: Adt, tunit: int, shape: dict) -> Dag:
         order.append(label)
         stack.extend(reversed(shape[label][1]))
     for label in order:
-        duration = adt.nodes[label].duration
-        if duration % tunit:
-            raise NonDivisibleDuration(
-                "duration %d of %r is not a multiple of %d"
-                % (duration, label, tunit))
-        remnant = dag.new_node(label + "'", label, shape[label][0])
+        entry = names.get(label)
+        if entry is None:
+            duration = adt.nodes[label].duration
+            if duration % tunit:
+                raise NonDivisibleDuration(
+                    "duration %d of %r is not a multiple of %d"
+                    % (duration, label, tunit))
+            entry = names[label] = (
+                label + "'",
+                ["%s_%d" % (label, i) for i in range(1, duration // tunit + 1)])
+        remnant = dag.new_node(entry[0], label, shape[label][0])
         top = remnant
-        for i in range(1, duration // tunit + 1):
-            step = dag.new_node("%s_%d" % (label, i), label, DagKind.SEQ)
+        for name in entry[1]:
+            step = dag.new_node(name, label, DagKind.SEQ)
             link(step, top)
             top = step
         remnants[label] = remnant
@@ -267,7 +270,7 @@ def normalize_time(adt: Adt, tunit: int | None = None) -> Dag:
         tunit = compute_time_unit(adt)
     shape = {label: (_KIND_OF[node.kind], node.children)
              for label, node in adt.nodes.items()}
-    return _build(adt, tunit, shape)
+    return _build(adt, tunit, shape, {})
 
 
 def _subtree_leaves(top: DagNode) -> list[DagNode]:
@@ -393,27 +396,46 @@ def enumerate_defence_variants(adt: Adt) -> list[DefenceConfig]:
     return out
 
 
-def _resolve(adt: Adt, config: DefenceConfig) -> dict:
-    """label -> (DagKind, children) for every node that can still happen
-    under ``config``, by the rules of :func:`apply_defence_config`; the
-    root is missing when the attack is impossible."""
-    status = defence_signature(adt, config)
-    shape: dict = {}
-    for label in reversed(preorder(adt)):  # descendants before ancestors
+def _post(adt: Adt) -> list:
+    """``(label, NodeKind, DagKind, children)`` for every attack-side node
+    of ``adt`` (defence subtrees are skipped), descendants before
+    ancestors: the order :func:`_resolve` reads."""
+    out, stack = [], [adt.root]
+    while stack:
+        label = stack.pop()
         node = adt.nodes[label]
-        if node.kind is NodeKind.OR:
-            kids = [c for c in node.children if c in shape]
+        out.append((label, node.kind, _KIND_OF[node.kind], node.children))
+        if node.kind in COUNTER_KINDS:
+            stack.append(node.children[0])
+        else:
+            stack.extend(node.children)
+    out.reverse()
+    return out
+
+
+def _resolve(status: dict, post: list) -> dict:
+    """label -> (DagKind, children) for every node that can still happen
+    when each defence-subtree root has the status ``status`` gives it, by
+    the rules of :func:`apply_defence_config`; the root is missing when the
+    attack is impossible.  ``post`` is :func:`_post` of the tree."""
+    shape: dict = {}
+    for label, kind, dag_kind, children in post:
+        if not children:
+            shape[label] = (dag_kind, children)
+        elif kind is NodeKind.OR:
+            kids = [c for c in children if c in shape]
             if kids:
                 shape[label] = (DagKind.OR, kids)
-        elif node.kind in COUNTER_KINDS:
-            action, counter = node.children
-            nodef = node.kind is NodeKind.NODEF
+        elif (kind is NodeKind.CAND or kind is NodeKind.SCAND
+              or kind is NodeKind.NODEF):
+            action, counter = children
+            nodef = kind is NodeKind.NODEF
             if nodef and status[counter] == FAILED:
                 shape[label] = (DagKind.NULL, [])  # action unnecessary
             elif action in shape and (nodef or status[counter] == FAILED):
                 shape[label] = (DagKind.NULL, [action])
-        elif all(c in shape for c in node.children):
-            shape[label] = (_KIND_OF[node.kind], node.children)
+        elif all(c in shape for c in children):
+            shape[label] = (dag_kind, children)
     return shape
 
 
@@ -429,16 +451,16 @@ def apply_defence_config(adt: Adt, config: DefenceConfig) -> Dag:
     Defence subtrees never enter the DAG; each resolved counter gate stays
     as a zero-duration join over its action, or over nothing.
     """
-    shape = _resolve(adt, config)
+    shape = _resolve(defence_signature(adt, config), _post(adt))
     if adt.root not in shape:
         return Dag()
-    return expand_sand(_build(adt, compute_time_unit(adt), shape))
+    return expand_sand(_build(adt, compute_time_unit(adt), shape, {}))
 
 
 def canonical_form(dag: Dag) -> str:
     """Structure digest: equal for DAGs that differ only in child order or
-    node identity.  Used to merge equivalent defence outcomes and duplicate
-    OR variants."""
+    node identity.  The pipeline compares variants by their label sets
+    instead (see :func:`preprocess_cases`)."""
     if dag.root is None:
         return "empty"
     digest: dict[int, str] = {}
@@ -483,126 +505,170 @@ class Case:
     variants: list
 
 
-def _depth_with_choices(dag: Dag, order: list, choices: dict) -> int:
-    """Root completion time when each chosen OR takes its chosen child and
-    every other OR takes its fastest one.  ``order`` is
-    :func:`children_first` of ``dag``."""
-    depth: dict[int, int] = {}
-    for node in order:
-        if not node.children:
-            depth[id(node)] = 0
-        elif node.kind is DagKind.SEQ:
-            depth[id(node)] = depth[id(node.children[0])] + 1
-        elif node.kind is DagKind.OR:
-            chosen = choices.get(id(node))
-            if chosen is not None:
-                depth[id(node)] = depth[id(chosen)]
-            else:
-                depth[id(node)] = min(depth[id(c)] for c in node.children)
-        else:
-            depth[id(node)] = max(depth[id(c)] for c in node.children)
-    return depth[id(dag.root)]
+class _Tree:
+    """What every defence outcome of one tree shares: the resolution order,
+    the defence-subtree roots, the time unit, each node's duration in unit
+    steps, and one table of generated names for all of its DAGs."""
+
+    def __init__(self, adt: Adt):
+        self.adt = adt
+        self.post = _post(adt)
+        self.roots = defence_roots(adt)
+        self.tunit = compute_time_unit(adt)
+        self.weight = {label: node.duration // self.tunit
+                       for label, node in adt.nodes.items()}
+        self.names: dict = {}
+
+    def outcome(self, config: DefenceConfig) -> _Outcome:
+        """Resolve the tree under ``config`` and pick its OR selections."""
+        adt = self.adt
+        signature = {root: _status(adt, root, config) for root in self.roots}
+        shape = _resolve(signature, self.post)
+        selections = []
+        if adt.root in shape:
+            selections = _or_selections(shape, adt.root, self.weight)
+        return _Outcome(self, signature, selections)
 
 
-def _reachable_with_choices(dag: Dag, choices: dict) -> set:
-    seen: set = set()
-    stack = [dag.root]
+@dataclass
+class _Outcome:
+    """One defence outcome, resolved and OR-walked but not built.
+    ``selections`` holds ``(or_choices, variant shape)`` per time-optimal
+    OR selection and is empty when the attack is impossible."""
+
+    tree: _Tree
+    signature: dict
+    selections: list
+
+    def fingerprint(self) -> frozenset:
+        """The label sets of the variants.  Within one tree a label set
+        fixes the variant's resolved shape and so its DAG, and different
+        label sets give DAGs with different node origins, so two outcomes
+        leave the same variants exactly when their fingerprints agree."""
+        return frozenset(frozenset(shape) for _, shape in self.selections)
+
+
+def _or_selections(shape: dict, root: str, weight: dict) -> list:
+    """``(or_choices, variant shape)`` for every combination of OR choices
+    on the resolved tree ``shape`` whose completion time equals the best
+    achievable one, in the order they are found.
+
+    Completion time is the weighted critical path: a node adds its
+    ``weight`` in unit steps to the time of its children, which AND and
+    counter gates take the maximum of, SAND the sum, and an OR its chosen
+    child's or else its fastest child's.  The next gate to choose is the
+    first reachable unchosen OR in preorder (its DAG remnant has the
+    smallest creation index), and its children are tried in order; a
+    partial choice that already makes the root slower than the best is
+    abandoned.  In a variant shape each chosen OR keeps only its chosen
+    child, and only the nodes reachable from the root are listed.
+    """
+    post, stack = [], [root]
     while stack:
-        node = stack.pop()
-        if node in seen:
-            continue
-        seen.add(node)
-        if node.kind is DagKind.OR and id(node) in choices:
-            stack.append(choices[id(node)])
-        else:
-            stack.extend(node.children)
-    return seen
+        label = stack.pop()
+        post.append(label)
+        stack.extend(reversed(shape[label][1]))
+    post.reverse()
 
+    def completion(choices):
+        time: dict = {}
+        for label in post:
+            kind, kids = shape[label]
+            if not kids:
+                t = 0
+            elif kind is DagKind.OR:
+                chosen = choices.get(label)
+                t = (time[chosen] if chosen is not None
+                     else min(time[c] for c in kids))
+            elif kind is DagKind.SAND:
+                t = sum(time[c] for c in kids)
+            else:
+                t = max(time[c] for c in kids)
+            time[label] = t + weight[label]
+        return time[root]
 
-def enumerate_or_variants(dag: Dag) -> list[Variant]:
-    """All combinations of OR choices whose completion time equals the best
-    achievable one, each materialised as an independent DAG.  Structural
-    duplicates are dropped.  An empty input produces the single infeasible
-    variant."""
-    if dag.root is None:
-        return [Variant({}, {}, {}, dag, False)]
-    order = children_first(dag)
-    cp_min = _depth_with_choices(dag, order, {})
-    kept: list[dict] = []
+    def first_open(choices):
+        """The first reachable unchosen OR, or None and every reachable
+        label in preorder."""
+        seen, stack = [], [root]
+        while stack:
+            label = stack.pop()
+            kind, kids = shape[label]
+            if kind is DagKind.OR:
+                chosen = choices.get(label)
+                if chosen is None:
+                    return label, seen
+                stack.append(chosen)
+            else:
+                stack.extend(reversed(kids))
+            seen.append(label)
+        return None, seen
 
+    best = completion({})
+    out: list = []
     choices: dict = {}
-    choice_nodes: dict = {}
 
     def walk():
-        depth = _depth_with_choices(dag, order, choices)
-        if depth > cp_min:
+        if completion(choices) > best:
             return  # already slower than the best, no choice can fix it
-        seen = _reachable_with_choices(dag, choices)
-        open_ors = [x for x in seen
-                    if x.kind is DagKind.OR and id(x) not in choices]
-        if not open_ors:
-            if depth == cp_min:
-                kept.append(dict(choices))
+        gate, seen = first_open(choices)
+        if gate is None:
+            variant = {label: shape[label] for label in seen}
+            for chosen_gate, child in choices.items():
+                variant[chosen_gate] = (DagKind.OR, [child])
+            out.append((dict(choices), variant))
             return
-        gate = min(open_ors, key=lambda x: x.index)
-        choice_nodes[id(gate)] = gate
-        for child in gate.children:
-            choices[id(gate)] = child
+        for child in shape[gate][1]:
+            choices[gate] = child
             walk()
-        del choices[id(gate)]
+        del choices[gate]
 
     walk()
+    return out
 
-    variants: list[Variant] = []
-    digests: set = set()
-    for chosen in kept:
-        seen = _reachable_with_choices(dag, chosen)
-        # a later choice can cut off an OR chosen earlier
-        chosen = {key: child for key, child in chosen.items()
-                  if choice_nodes[key] in seen}
-        vdag = copy_dag(dag, restrict=seen)
-        by_name = {x.name: x for x in vdag.nodes}
-        for key, child in chosen.items():
-            gate = by_name[choice_nodes[key].name]
-            for other in list(gate.children):
-                if other.name != child.name:
-                    unlink(gate, other)
-        if len(kept) > 1:
-            digest = canonical_form(vdag)
-            if digest in digests:
-                continue
-            digests.add(digest)
-        or_map = {choice_nodes[key].origin: child.origin
-                  for key, child in chosen.items()}
-        variants.append(Variant({}, {}, or_map, vdag, True))
-    return variants
+
+def enumerate_or_variants(adt: Adt, config: DefenceConfig) -> list[Variant]:
+    """One variant per combination of OR choices that achieves the fastest
+    possible completion under ``config``, each with its own DAG built once
+    from the resolved tree; distinct choices always leave distinct DAGs.
+    An impossible attack gives the single infeasible variant."""
+    return _variants(config, _Tree(adt).outcome(config))
+
+
+def _variants(config: DefenceConfig, outcome: _Outcome) -> list[Variant]:
+    """Build the variants of ``outcome``, the resolved and walked outcome
+    of ``config``."""
+    signature = outcome.signature
+    if not outcome.selections:
+        return [Variant(config, signature, {}, Dag(), False)]
+    tree = outcome.tree
+    return [Variant(config, signature, choices,
+                    expand_sand(_build(tree.adt, tree.tunit, shape,
+                                       tree.names)),
+                    True)
+            for choices, shape in outcome.selections]
 
 
 def preprocess_cases(adt: Adt) -> list[Case]:
-    """Full pipeline, grouped by defence outcome.  Outcomes whose final
-    variant sets are structurally identical are merged into one case."""
+    """Full pipeline, grouped by defence outcome.  Outcomes that leave the
+    same variants are merged into one case before any DAG is built."""
     problems = validate_adt(adt)
     if problems:
         raise ValueError("invalid tree: %s" % problems[0].message)
-    configs = enumerate_defence_variants(adt)
+    tree = _Tree(adt)
     cases: list[Case] = []
-    by_digest: dict = {}
-    for config in configs:
-        sig = defence_signature(adt, config)
-        variants = enumerate_or_variants(apply_defence_config(adt, config))
-        for variant in variants:
-            variant.defences = config
-            variant.signature = sig
-        if len(configs) > 1:
-            fingerprint = frozenset(canonical_form(v.dag) for v in variants)
-            known = by_digest.get(fingerprint)
-            if known is not None:
-                known.merged_signatures.append(sig)
-                continue
-        case = Case(sig, [sig], config, variants)
+    by_fingerprint: dict = {}
+    for config in enumerate_defence_variants(adt):
+        outcome = tree.outcome(config)
+        fingerprint = outcome.fingerprint()
+        known = by_fingerprint.get(fingerprint)
+        if known is not None:
+            known.merged_signatures.append(outcome.signature)
+            continue
+        variants = _variants(config, outcome)
+        case = Case(outcome.signature, [outcome.signature], config, variants)
         cases.append(case)
-        if len(configs) > 1:
-            by_digest[fingerprint] = case
+        by_fingerprint[fingerprint] = case
     return cases
 
 

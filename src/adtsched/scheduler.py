@@ -139,8 +139,9 @@ def schedule_candidate(dag: Dag, slots: int, agents: int):
     count suffices.
 
     Expects ``depth`` to be populated (:func:`compute_bounds` does it) and
-    every OR to have one child, as in the variants of
-    :func:`enumerate_or_variants`.  Then depth strictly decreases along
+    every OR to have one child, as in the variant DAGs that
+    :func:`enumerate_or_variants` builds (each chosen OR keeps only its
+    chosen branch).  Then depth strictly decreases along
     every path between unit steps, so the deepest ready step is the deepest
     unplaced one, and the packer places the same steps as a sweep over
     levels that skips steps with an ancestor in the current slot.

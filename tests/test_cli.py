@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from adtsched import cli, parse_adt
+from adtsched import cli, parse_adt, scheduler
 
 from conftest import TREES
 
@@ -106,6 +106,29 @@ def test_variants_with_no_unit_steps(capsys, tmp_path):
     code, out, err = run(capsys, "variants", str(tree))
     assert code == 0
     assert out == "case 1: no defences\n  variant 1: [a=c] n=0 slots=0\n"
+    assert err == ""
+
+
+def test_internal_error_exits_3(capsys, monkeypatch):
+    # a packer that always leaves one step over makes the bisection fail
+    monkeypatch.setattr(scheduler, "schedule_candidate",
+                        lambda dag, slots, agents: ({}, 1))
+    code, out, err = run(capsys, "schedule", str(TREES / "interrupted.adt"))
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: 3 agents rejected despite width 3\n"
+
+
+def test_name_collision_across_or_branches_is_no_error(capsys, tmp_path):
+    # s's SAND joints and the steps of the label s' share the names s'_1
+    # and s'_2, but the two branches of r never meet in one variant
+    tree = tmp_path / "branches.adt"
+    tree.write_text("r: OR(s, t)\ns: SAND(a, b)\nt: AND(s')\n"
+                    "a: ATTACK time=1\nb: ATTACK time=1\n"
+                    "s': ATTACK time=2\n")
+    code, out, err = run(capsys, "schedule", str(tree))
+    assert code == 0
+    assert out.startswith("no defences [r=s]: slots=2 agents=1 cost=0\n")
     assert err == ""
 
 
