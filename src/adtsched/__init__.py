@@ -40,8 +40,6 @@ from .scheduler import (
     ZeroSlots,
     brute_force_min_agents,
     compute_bounds,
-    depth_node,
-    level_node,
     min_schedule,
     schedule_candidate,
     verify_schedule,
@@ -70,9 +68,8 @@ __all__ = [
     "preprocess_cases",
     "Bounds", "ScheduleResult", "Violation",
     "ZeroSlots", "TooLarge", "InternalError",
-    "depth_node", "level_node", "compute_bounds", "schedule_candidate",
-    "zero_assign", "min_schedule", "verify_schedule",
-    "brute_force_min_agents",
+    "compute_bounds", "schedule_candidate", "zero_assign", "min_schedule",
+    "verify_schedule", "brute_force_min_agents",
     "render_table", "signature_heading", "to_json", "to_csv", "variant_cost",
     "InvalidParams", "generate_scaling_adt", "BENCH_ROWS", "bench_row",
     "run_scalability",

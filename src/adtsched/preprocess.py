@@ -110,23 +110,18 @@ class DagNode:
 
 
 class Dag:
-    """Node container.  ``nodes`` is in creation order; ``root`` is None for
-    the empty DAG (a defence that cannot be beaten).  Names are unique; a
-    caller that looks nodes up by name builds its own dict once.
-    ``packing_start`` is scheduler scratch, set only while a variant's agent
-    count is searched."""
+    """Node container.  ``nodes`` is in creation order, so ascending by
+    ``index``; ``root`` is None for the empty DAG (a defence that cannot be
+    beaten).  Names are unique: :func:`expand_sand` checks the only names
+    that can clash; a caller that looks nodes up by name builds its own
+    dict once."""
 
     def __init__(self):
         self.root: DagNode | None = None
         self.nodes: list[DagNode] = []
-        self.packing_start: tuple | None = None
-        self._names: set[str] = set()
         self._next_index = 0
 
     def new_node(self, name: str, origin: str, kind: DagKind) -> DagNode:
-        if name in self._names:
-            raise NameCollision("generated name %r already exists" % name)
-        self._names.add(name)
         node = DagNode(name, origin, kind, self._next_index)
         self._next_index += 1
         self.nodes.append(node)
@@ -143,34 +138,21 @@ def link(parent: DagNode, child: DagNode) -> None:
     child.parents.append(parent)
 
 
-def reachable(dag: Dag) -> set:
-    """All nodes reachable from the root along child edges."""
-    seen: set = set()
-    if dag.root is None:
-        return seen
-    stack = [dag.root]
-    while stack:
-        node = stack.pop()
-        if node in seen:
-            continue
-        seen.add(node)
-        stack.extend(node.children)
-    return seen
-
-
 def children_first(dag: Dag) -> list[DagNode]:
     """Topological order with every node after all of its children; reverse
     it for parents first."""
-    pending = {id(x): len(x.children) for x in dag.nodes}
-    queue = [x for x in dag.nodes if not x.children]
+    pending = [0] * dag._next_index  # by node index
     order = []
-    while queue:
-        node = queue.pop()
-        order.append(node)
+    for node in dag.nodes:
+        if node.children:
+            pending[node.index] = len(node.children)
+        else:
+            order.append(node)
+    for node in order:  # also visits the parents appended on the way
         for parent in node.parents:
-            pending[id(parent)] -= 1
-            if pending[id(parent)] == 0:
-                queue.append(parent)
+            pending[parent.index] -= 1
+            if not pending[parent.index]:
+                order.append(parent)
     if len(order) != len(dag.nodes):
         raise InternalError("cycle in DAG")
     return order
@@ -188,7 +170,6 @@ def copy_dag(dag: Dag, restrict: set | None = None) -> Dag:
         twin = DagNode(node.name, node.origin, node.kind, node.index)
         twin.depth, twin.level = node.depth, node.level
         twin.agent, twin.slot = node.agent, node.slot
-        out._names.add(twin.name)
         out.nodes.append(twin)
         mapping[id(node)] = twin
     for node in dag.nodes:
@@ -298,18 +279,28 @@ def expand_sand(dag: Dag) -> Dag:
     ``X'_k`` takes over the remnant's parents.  A single-segment remnant
     simply turns into a join point.  Inner remnants are expanded before the
     ones enclosing them, so leaf sets are final when read.
+
+    Raises :class:`NameCollision` when a link name is taken.  Only the unit
+    steps of a label named ``X'`` can take it, so the check runs against the
+    names the DAG had before its first expansion.
     """
     sands = [x for x in dag.nodes if x.kind is DagKind.SAND]
+    taken: set | None = None
     for remnant in sorted(sands, key=lambda x: -x.index):
         tops = list(remnant.children)
         if len(tops) == 1:
             remnant.kind = DagKind.NULL
             continue
         k = len(tops)
+        if taken is None:
+            taken = {x.name for x in dag.nodes}
+        names = ["%s_%d" % (remnant.name, i + 1) for i in range(k)]
+        for name in names:
+            if name in taken:
+                raise NameCollision("generated name %r already exists" % name)
         leaf_sets = [_subtree_leaves(tops[i]) for i in range(1, k)]
-        nulls = [dag.new_node("%s_%d" % (remnant.name, i + 1),
-                              remnant.origin, DagKind.NULL)
-                 for i in range(k)]
+        nulls = [dag.new_node(name, remnant.origin, DagKind.NULL)
+                 for name in names]
         for i in range(k):
             link(nulls[i], tops[i])
         for i in range(k - 1):
@@ -325,7 +316,6 @@ def expand_sand(dag: Dag) -> Dag:
             top.parents.remove(remnant)
         remnant.children = []
         dag.nodes.remove(remnant)
-        dag._names.discard(remnant.name)
         if dag.root is remnant:
             dag.root = nulls[-1]
     return dag
@@ -558,10 +548,11 @@ def _or_selections(shape: dict, root: str, weight: dict) -> list:
     counter gates take the maximum of, SAND the sum, and an OR its chosen
     child's or else its fastest child's.  The next gate to choose is the
     first reachable unchosen OR in preorder (its DAG remnant has the
-    smallest creation index), and its children are tried in order; a
-    partial choice that already makes the root slower than the best is
-    abandoned.  In a variant shape each chosen OR keeps only its chosen
-    child, and only the nodes reachable from the root are listed.
+    smallest creation index), and its children are tried in order, depth
+    first with an explicit stack of open gates; a partial choice that
+    already makes the root slower than the best is abandoned.  In a variant
+    shape each chosen OR keeps only its chosen child, and only the nodes
+    reachable from the root are listed.
     """
     post, stack = [], [root]
     while stack:
@@ -607,24 +598,28 @@ def _or_selections(shape: dict, root: str, weight: dict) -> list:
     best = completion({})
     out: list = []
     choices: dict = {}
-
-    def walk():
-        if completion(choices) > best:
-            return  # already slower than the best, no choice can fix it
-        gate, seen = first_open(choices)
-        if gate is None:
-            variant = {label: shape[label] for label in seen}
-            for chosen_gate, child in choices.items():
-                variant[chosen_gate] = (DagKind.OR, [child])
-            out.append((dict(choices), variant))
-            return
-        for child in shape[gate][1]:
-            choices[gate] = child
-            walk()
-        del choices[gate]
-
-    walk()
-    return out
+    open_gates: list = []  # (gate, position of the child to try next)
+    while True:
+        # a partial choice already slower than the best cannot be fixed
+        if completion(choices) <= best:
+            gate, seen = first_open(choices)
+            if gate is None:
+                variant = {label: shape[label] for label in seen}
+                for chosen_gate, child in choices.items():
+                    variant[chosen_gate] = (DagKind.OR, [child])
+                out.append((dict(choices), variant))
+            else:
+                open_gates.append((gate, 0))
+        while open_gates:
+            gate, position = open_gates.pop()
+            kids = shape[gate][1]
+            if position < len(kids):
+                choices[gate] = kids[position]
+                open_gates.append((gate, position + 1))
+                break
+            del choices[gate]
+        else:
+            return out
 
 
 def enumerate_or_variants(adt: Adt, config: DefenceConfig) -> list[Variant]:

@@ -6,7 +6,10 @@ and every node must sit in a strictly higher slot than each of the unit
 steps below it.  The scheduler fills slots greedily from the root down,
 highest level first (Hu 1961): a heap holds the unit steps whose ancestors
 are all placed, deepest first.  It bisects on the number of agents between
-a counting lower bound and the width of the level structure.
+a counting lower bound and the width of the level structure.  Every probe
+builds its own start state from the root.  Once the agent count is found,
+zero-duration nodes take the cell of a neighbouring unit step, in one
+bottom-up and one top-down pass.
 """
 
 from __future__ import annotations
@@ -39,39 +42,38 @@ class Bounds:
     slots: int
 
 
-def depth_node(dag: Dag) -> None:
-    """Earliest completion time of every node, bottom-up: unit steps add 1,
-    joins wait for all children, an OR needs only its fastest child."""
-    for node in children_first(dag):
-        if not node.children:
-            node.depth = 0
-        elif node.kind is DagKind.SEQ:
-            node.depth = node.children[0].depth + 1
-        elif node.kind is DagKind.OR:
-            node.depth = min(c.depth for c in node.children)
-        else:
-            node.depth = max(c.depth for c in node.children)
-
-
-def level_node(dag: Dag) -> None:
-    """Distance from the root counted in unit steps crossed, top-down; a
-    node reachable several ways takes the longest distance."""
-    for node in reversed(children_first(dag)):
-        if not node.parents:
-            node.level = 0
-        else:
-            node.level = max(
-                p.level + (1 if p.kind is DagKind.SEQ else 0)
-                for p in node.parents)
-
-
 def compute_bounds(dag: Dag, slots_override: int | None = None) -> Bounds:
     """Agent-count bracket for the bisection.  ``lower`` is the pigeonhole
     bound (fewer agents cannot fit n unit steps into the slots), ``upper``
     the maximum number of unit steps sharing a level, which always succeeds.
+
+    Fills in every node's ``depth`` bottom-up, its earliest completion time
+    (unit steps add 1, joins wait for all children, an OR needs only its
+    fastest child), then its ``level`` top-down, the most unit steps crossed
+    on a path from the root, both over one topological order.
     """
-    depth_node(dag)
-    level_node(dag)
+    order = children_first(dag)
+    for node in order:
+        if node.kind is DagKind.SEQ:
+            node.depth = node.children[0].depth + 1
+        elif not node.children:
+            node.depth = 0
+        elif node.kind is DagKind.OR:
+            node.depth = min(c.depth for c in node.children)
+        else:
+            node.depth = max(c.depth for c in node.children)
+    per_level: dict[int, int] = {}
+    n = 0
+    for node in reversed(order):
+        level = 0
+        for p in node.parents:
+            up = p.level + 1 if p.kind is DagKind.SEQ else p.level
+            if up > level:
+                level = up
+        node.level = level
+        if node.kind is DagKind.SEQ:
+            n += 1
+            per_level[level] = per_level.get(level, 0) + 1
     if dag.root is None or dag.root.depth == 0:
         raise ZeroSlots("root depth is zero")
     slots = dag.root.depth
@@ -80,12 +82,6 @@ def compute_bounds(dag: Dag, slots_override: int | None = None) -> Bounds:
             raise ValueError(
                 "slots override %d below minimum %d" % (slots_override, slots))
         slots = slots_override
-    per_level: dict[int, int] = {}
-    n = 0
-    for node in dag.nodes:
-        if node.kind is DagKind.SEQ:
-            n += 1
-            per_level[node.level] = per_level.get(node.level, 0) + 1
     lower = (n + slots - 1) // slots - 1
     upper = max(per_level.values())
     return Bounds(lower, upper, slots)
@@ -107,26 +103,6 @@ def _release(done, pending: list, ready: list) -> None:
                     stack.append(child)
 
 
-def _packing_start(dag: Dag) -> tuple:
-    """The packer's state before its first slot, which no agent count
-    changes: every node's number of parents not yet done, the heap of ready
-    unit steps and the number of unit steps."""
-    pending = [0] * (max((x.index for x in dag.nodes), default=-1) + 1)
-    ready: list = []
-    roots = []
-    steps = 0
-    for node in dag.nodes:
-        pending[node.index] = len(node.parents)
-        if node.kind is DagKind.SEQ:
-            steps += 1
-            if not node.parents:
-                heappush(ready, (-node.depth, node.index, node))
-        elif not node.parents:
-            roots.append(node)
-    _release(roots, pending, ready)
-    return pending, ready, steps
-
-
 def schedule_candidate(dag: Dag, slots: int, agents: int):
     """Greedy assignment with a fixed agent count.
 
@@ -138,6 +114,12 @@ def schedule_candidate(dag: Dag, slots: int, agents: int):
     and the number of unit steps left over; 0 leftovers means the candidate
     count suffices.
 
+    Every call builds its own start state: one pass over the nodes clears
+    their cells and counts each node's parents not yet done and the unit
+    steps left, and the ready heap starts from ``dag.root``, the one node
+    without parents, or from the unit steps its zero-duration descendants
+    release.
+
     Expects ``depth`` to be populated (:func:`compute_bounds` does it) and
     every OR to have one child, as in the variant DAGs that
     :func:`enumerate_or_variants` builds (each chosen OR keeps only its
@@ -146,11 +128,21 @@ def schedule_candidate(dag: Dag, slots: int, agents: int):
     unplaced one, and the packer places the same steps as a sweep over
     levels that skips steps with an ancestor in the current slot.
     """
+    # nodes are in creation order, so the last one has the highest index
+    pending = [0] * (dag.nodes[-1].index + 1)
+    n_remain = 0
     for node in dag.nodes:
         node.agent = 0
         node.slot = 0
-    start = dag.packing_start or _packing_start(dag)
-    pending, ready, n_remain = start[0].copy(), start[1].copy(), start[2]
+        pending[node.index] = len(node.parents)
+        if node.kind is DagKind.SEQ:
+            n_remain += 1
+    root = dag.root
+    ready: list = []
+    if root.kind is DagKind.SEQ:
+        ready.append((-root.depth, root.index, root))
+    else:
+        _release([root], pending, ready)
     slot = slots
     while n_remain > 0 and slot > 0:
         if -ready[0][0] > slot:
@@ -170,27 +162,17 @@ def schedule_candidate(dag: Dag, slots: int, agents: int):
     return assignment, n_remain
 
 
-def _chain_parent(node: DagNode) -> DagNode | None:
-    if len(node.parents) == 1:
-        return node.parents[0]
-    for parent in node.parents:
-        if parent.origin == node.origin:
-            return parent
-    return None
-
-
 def _reshuffle(num_agents: int, occupants: dict) -> None:
     """Swap same-slot assignments so each unit step stays with the agent
-    that carries its chain, keeping hand-offs to a minimum.  ``occupants``
-    maps agent -> the unit step it runs in one slot and is updated too."""
+    that carries its chain, keeping hand-offs to a minimum: a unit step
+    moves to the agent of its only parent once that parent is placed.
+    ``occupants`` maps agent -> the unit step it runs in one slot and is
+    updated too."""
     for agent in range(1, num_agents + 1):
         current = occupants.get(agent)
-        if current is None:
+        if current is None or len(current.parents) != 1:
             continue
-        parent = _chain_parent(current)
-        if parent is None:
-            continue
-        target = parent.agent
+        target = current.parents[0].agent
         if target == 0 or target == current.agent:
             continue
         other = occupants.get(target)
@@ -204,43 +186,33 @@ def _reshuffle(num_agents: int, occupants: dict) -> None:
 
 
 def zero_assign(dag: Dag) -> None:
-    """Attach every zero-duration node to an already scheduled unit step:
-    first whatever hangs directly under a unit step joins it, then join
-    points adopt their latest child and gates their latest prerequisite,
-    sweeping until everything is placed."""
-    pending = []
-    for node in dag.nodes:
-        if node.kind is DagKind.SEQ:
-            continue
-        carrier = next((p for p in node.parents if p.kind is DagKind.SEQ),
-                       None)
-        if carrier is not None and carrier.slot != 0:
-            node.agent, node.slot = carrier.agent, carrier.slot
-        else:
-            pending.append(node)
-    sweeps = 0
-    while pending:
-        sweeps += 1
-        if sweeps > 2 * len(dag.nodes) + 5:
-            raise InternalError("zero-duration placement did not converge")
-        rest = []
-        for node in sorted(pending, key=lambda x: x.index):
-            placed = False
+    """Give every zero-duration node the cell (agent, slot) of a unit step
+    next to it, in two passes over one topological order.  Expects every
+    unit step placed and ``depth`` populated.
+
+    Bottom-up, a node directly under a unit step takes the cell of that
+    step (the first such parent), and otherwise a node that waits for timed
+    children (depth > 0) takes the cell of the latest of them (highest
+    slot, then lowest index).  Top-down, each node left over takes the cell
+    of its earliest parent (lowest slot, then lowest index).  A node still
+    without a cell raises :class:`InternalError`.
+    """
+    order = [x for x in children_first(dag) if x.kind is not DagKind.SEQ]
+    for node in order:
+        pick = next((p for p in node.parents if p.kind is DagKind.SEQ), None)
+        if pick is None:
             waits = [c for c in node.children if c.depth > 0]
-            if node.kind is DagKind.AND and node.depth == 0:
-                waits = []
-            if waits:
-                if all(c.slot != 0 for c in waits):
-                    pick = max(waits, key=lambda c: (c.slot, -c.index))
-                    node.agent, node.slot = pick.agent, pick.slot
-                    placed = True
-            elif node.parents and all(p.slot != 0 for p in node.parents):
-                pick = min(node.parents, key=lambda p: (p.slot, p.index))
-                node.agent, node.slot = pick.agent, pick.slot
-                placed = True
-            if not placed:
-                rest.append(node)
-        pending = rest
+            pick = max(waits, key=lambda c: (c.slot, -c.index), default=None)
+        if pick is None:
+            node.agent = node.slot = 0  # placed top-down
+        else:
+            node.agent, node.slot = pick.agent, pick.slot
+    for node in reversed(order):
+        if not node.slot and node.parents:
+            pick = min(node.parents, key=lambda p: (p.slot, p.index))
+            node.agent, node.slot = pick.agent, pick.slot
+        if not node.slot:
+            raise InternalError("%s left without a slot" % node.name)
 
 
 @dataclass
@@ -289,11 +261,7 @@ def _schedule_variant(variant: Variant,
     if dag.n == 0:
         return ScheduleResult(variant, True, 0, 0, None)
     bounds = compute_bounds(dag, slots_override)
-    dag.packing_start = _packing_start(dag)
-    try:
-        agents = _min_agents(dag, bounds)
-    finally:
-        dag.packing_start = None
+    agents = _min_agents(dag, bounds)
     zero_assign(dag)
     assignment = {x: (x.agent, x.slot) for x in dag.nodes}
     return ScheduleResult(variant, True, bounds.slots, agents, bounds,

@@ -7,6 +7,7 @@ and the reachable set after every choice, copies each time-optimal
 selection out of that DAG, cuts the unchosen OR branches and drops
 structural duplicates by ``canonical_form``.  The tree-level walk must
 yield the same selections, in the same order, with the same DAGs.
+:func:`reachable` serves the tests that check DAGs for stranded nodes.
 """
 
 from adtsched.preprocess import (
@@ -52,6 +53,13 @@ def _reachable_with_choices(dag, choices):
         else:
             stack.extend(node.children)
     return seen
+
+
+def reachable(dag):
+    """All nodes reachable from the root along child edges."""
+    if dag.root is None:
+        return set()
+    return _reachable_with_choices(dag, {})
 
 
 def _unlink(parent, child):

@@ -1,5 +1,6 @@
 """The package exports what README.md documents, and nothing is dangling."""
 
+import importlib
 import pathlib
 import re
 
@@ -31,3 +32,16 @@ def test_slot_repair_is_internal():
     assert [n for n in dir(adtsched.scheduler) if "reshuffle" in n] \
         == ["_reshuffle"]
     assert not [n for n in dir(adtsched) if "reshuffle" in n]
+
+
+def test_traced_functions_exist():
+    # the benchmark's tracer rebinds these by name; a missing one would
+    # only show when a traced run installs it
+    tracer = README.parent / "perfbench" / "tracer.py"
+    namespace = {"__name__": "tracer"}
+    exec(compile(tracer.read_text(), str(tracer), "exec"), namespace)
+    targets = namespace["TARGETS"]
+    assert targets
+    for module, function, *_ in targets:
+        assert hasattr(importlib.import_module(module), function), \
+            (module, function)

@@ -1,6 +1,9 @@
 """Command line behaviour: wiring, flags, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -117,6 +120,33 @@ def test_internal_error_exits_3(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err == "internal error: 3 agents rejected despite width 3\n"
+
+
+def test_or_walk_needs_no_recursion_per_gate(tmp_path):
+    # an AND over 300 two-way ORs has one fastest variant; the walk over
+    # them must not recurse once per chosen OR
+    lines = ["r: AND(%s)" % ", ".join("o%d" % i for i in range(300))]
+    for i in range(300):
+        lines += ["o%d: OR(a%d, b%d)" % (i, i, i),
+                  "a%d: ATTACK time=1" % i, "b%d: ATTACK time=2" % i]
+    tree = tmp_path / "or-fan.adt"
+    tree.write_text("\n".join(lines) + "\n")
+    script = ("import sys\n"
+              "from adtsched import cli\n"
+              "sys.setrecursionlimit(150)\n"
+              "sys.exit(cli.main(['variants', sys.argv[1]]))\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script, str(tree)],
+                          capture_output=True, text=True, env=env,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    out = done.stdout.splitlines()
+    assert out[0] == "case 1: no defences"
+    assert [x for x in out if x.startswith("  variant ")] == [out[1]]
+    assert out[1].endswith(" n=300 slots=1 bounds (299,300]")
 
 
 def test_name_collision_across_or_branches_is_no_error(capsys, tmp_path):

@@ -23,9 +23,10 @@ from adtsched import (
     preprocess_cases,
     validate_adt,
 )
-from adtsched.preprocess import canonical_form, copy_dag, defence_roots, reachable
+from adtsched.preprocess import canonical_form, copy_dag, defence_roots
 
 from conftest import load_tree
+from reference_or_walk import reachable
 
 
 def build(text):

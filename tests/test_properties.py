@@ -29,11 +29,12 @@ from adtsched import (
     validate_adt,
     verify_schedule,
 )
-from adtsched.preprocess import canonical_form, copy_dag, reachable
+from adtsched.preprocess import canonical_form, copy_dag
 from adtsched.scheduler import _reshuffle
 
 from conftest import TREES
 from rand_trees import random_adt, random_small_adt
+from reference_or_walk import reachable
 
 SEED = 20260815
 

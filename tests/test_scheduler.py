@@ -11,9 +11,7 @@ from adtsched import (
     TooLarge,
     brute_force_min_agents,
     compute_bounds,
-    depth_node,
     expand_sand,
-    level_node,
     min_schedule,
     normalize_time,
     parse_adt,
@@ -47,7 +45,7 @@ def seqs(dag):
 def test_depth_recurrences():
     dag = build("a: AND(b, c)\nb: ATTACK time=3\nc: OR(d, e)\n"
                 "d: ATTACK time=1\ne: ATTACK time=2\n")
-    depth_node(dag)
+    compute_bounds(dag)
     by = {x.name: x for x in dag.nodes}
     assert by["b'"].depth == 0
     assert by["b_1"].depth == 1
@@ -59,8 +57,7 @@ def test_depth_recurrences():
 
 def test_level_counts_unit_steps_from_the_root():
     dag = build("a: AND(b, c)\nb: ATTACK time=3\nc: ATTACK time=1\n")
-    depth_node(dag)
-    level_node(dag)
+    compute_bounds(dag)
     by = {x.name: x for x in dag.nodes}
     assert by["a'"].level == 0
     assert by["b_3"].level == 0  # zero-duration root adds no step
@@ -70,8 +67,7 @@ def test_level_counts_unit_steps_from_the_root():
 
 def test_level_takes_the_longest_route():
     v = variant_of("last")
-    depth_node(v.dag)
-    level_node(v.dag)
+    compute_bounds(v.dag)
     for node in v.dag.nodes:
         assert node.level + node.depth <= v.dag.root.depth
     assert any(node.level + node.depth == v.dag.root.depth
