@@ -8,8 +8,9 @@
     adtsched bench [--table-file PATH]
 
 Exit codes: 0 on success (an impossible attack is still a successful
-analysis), 1 on usage errors, 2 on parse or validation errors, 3 on an
-internal error (an invariant of the algorithm failed; a bug, reported as
+analysis), 1 on usage errors, 2 on parse or validation errors and on trees
+the pipeline rejects (``error: <message>`` on stderr), 3 on an internal
+error (an invariant of the algorithm failed; a bug, reported as
 ``internal error: <message>`` on stderr).
 """
 
@@ -132,13 +133,9 @@ def cmd_schedule(ns) -> int:
     adt = _load(ns.tree)
     if adt is None:
         return 2
-    try:
-        cases = preprocess_cases(adt)
-        flat = [v for case in cases for v in case.variants]
-        results = min_schedule(flat, slots_override=ns.slots_override)
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+    cases = preprocess_cases(adt)
+    flat = [v for case in cases for v in case.variants]
+    results = min_schedule(flat, slots_override=ns.slots_override)
     results_by_id = {id(r.variant): r for r in results}
     selected = _select_results(cases, results_by_id, ns.all_or_variants)
     if ns.json:
@@ -167,11 +164,7 @@ def cmd_variants(ns) -> int:
     adt = _load(ns.tree)
     if adt is None:
         return 2
-    try:
-        cases = preprocess_cases(adt)
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+    cases = preprocess_cases(adt)
     lines = []
     for index, case in enumerate(cases, start=1):
         line = "case %d: %s" % (index, signature_heading(case.signature))
@@ -274,6 +267,9 @@ def main(args=None) -> int:
         return int(stop.code or 0)
     try:
         return _COMMANDS[ns.command](ns)
+    except ValueError as exc:  # a tree the pipeline cannot take
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
     except InternalError as exc:
         print("internal error: %s" % exc, file=sys.stderr)
         return 3

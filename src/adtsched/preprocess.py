@@ -2,24 +2,25 @@
 
 The scheduler downstream only understands one thing: a DAG whose
 unit-duration steps (``SEQ`` nodes) must each get an agent and a time slot,
-with every node waiting for all of its children.  Getting there takes four
-steps, each exposed on its own because they are useful separately:
+with every node waiting for all of its children.  :func:`preprocess_cases`
+splits one preorder of the tree into its attack side and its defence
+subtrees, then for each configuration :func:`enumerate_defence_variants`
+returns (one per inequivalent outcome) it
 
-1. :func:`apply_defence_config` -- fix the outcome of every countermeasure
-   and resolve the tree, bottom-up, to what the attacker still has to do
-   (possibly nothing: a winning defence leaves an empty DAG),
-2. :func:`enumerate_or_variants` -- on that resolved tree, pick every
-   combination of OR choices that achieves the fastest possible
-   completion, and build each one's DAG once with the next two steps,
-3. :func:`normalize_time` -- split every timed node into a chain of unit
-   steps above a zero-duration remnant of the node itself (called on its
-   own, it turns the whole unresolved tree into a DAG),
-4. :func:`expand_sand` -- rewrite ordered conjunctions into cross-links so
-   that each segment waits for the previous one.
+1. evaluates every defence node once and resolves the attack side,
+   bottom-up, to what the attacker still has to do (possibly nothing),
+2. picks every combination of OR choices that finishes the attack
+   fastest, in three passes over the resolved tree
+   (:func:`_or_selections`), and merges outcomes whose selections keep the
+   same label sets into one case,
+3. builds each new case's variants once: every timed node becomes a chain
+   of unit steps above a zero-duration remnant, and :func:`expand_sand`
+   rewrites ordered conjunctions into cross-links.
 
-:func:`preprocess` runs the whole pipeline over every inequivalent defence
-outcome and returns the resulting variants.  Outcomes are merged by the
-label sets of their variants before any DAG is built.
+The stages also stand alone: :func:`apply_defence_config` builds one
+outcome's DAG, :func:`enumerate_or_variants` one outcome's variants,
+:func:`normalize_time` the whole unresolved tree, and :func:`preprocess`
+lists the variants of every case.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .model import (
     Adt,
     COUNTER_KINDS,
     NodeKind,
-    Role,
     preorder,
     validate_adt,
 )
@@ -321,46 +321,62 @@ def expand_sand(dag: Dag) -> Dag:
     return dag
 
 
+def _sides(adt: Adt) -> tuple[list, list, list]:
+    """``(label, NodeKind, DagKind, children)`` for every node of ``adt``,
+    children first, split by structure into the attack side and the defence
+    subtrees (everything below the second child of a counter gate), and the
+    roots of those subtrees in preorder."""
+    attack, defence, roots, below = [], [], [], set()
+    for label in preorder(adt):
+        node = adt.nodes[label]
+        entry = (label, node.kind, _KIND_OF[node.kind], node.children)
+        if label in below:
+            below.update(node.children)
+            defence.append(entry)
+        else:
+            if node.kind in COUNTER_KINDS:
+                roots.append(node.children[1])
+                below.add(node.children[1])
+            attack.append(entry)
+    attack.reverse()
+    defence.reverse()
+    return attack, defence, roots
+
+
 def defence_leaves(adt: Adt) -> list[str]:
-    return [label for label in preorder(adt)
-            if adt.nodes[label].kind is NodeKind.LEAF
-            and adt.nodes[label].role is Role.DEFENCE]
+    """Leaves of the defence subtrees, in depth-first order."""
+    return [x[0] for x in reversed(_sides(adt)[1]) if x[1] is NodeKind.LEAF]
 
 
 def defence_roots(adt: Adt) -> list[str]:
     """Roots of the defence subtrees, i.e. second children of counter
     gates, in depth-first order."""
-    return [adt.nodes[label].children[1] for label in preorder(adt)
-            if adt.nodes[label].kind in COUNTER_KINDS]
+    return _sides(adt)[2]
 
 
-def _status(adt: Adt, label: str, config: DefenceConfig) -> str:
-    """Outcome of a defence subtree: leaves from ``config``, AND/SAND need
-    every child operating, OR needs one."""
-    result: dict[str, str] = {}
-    stack = [(label, False)]
-    while stack:
-        cur, done = stack.pop()
-        node = adt.nodes[cur]
-        if node.kind is NodeKind.LEAF:
-            result[cur] = config[cur]
-            continue
-        if not done:
-            stack.append((cur, True))
-            stack.extend((c, False) for c in node.children)
-            continue
-        states = [result[c] for c in node.children]
-        if node.kind is NodeKind.OR:
-            result[cur] = OPERATING if OPERATING in states else FAILED
+def _signature(defence: list, roots: list, config: DefenceConfig) -> dict:
+    """Status of each of the defence-subtree ``roots`` under ``config``,
+    from one pass over ``defence`` (the defence side from :func:`_sides`)
+    that evaluates every defence node once, children first: leaves read
+    ``config``, an OR operates when some child does, and every other gate
+    when all of its children do."""
+    status: dict = {}
+    for label, kind, _, children in defence:
+        states = [status[c] for c in children]
+        if kind is NodeKind.LEAF:
+            status[label] = config[label]
+        elif kind is NodeKind.OR:
+            status[label] = OPERATING if OPERATING in states else FAILED
         else:
-            result[cur] = FAILED if FAILED in states else OPERATING
-    return result[label]
+            status[label] = FAILED if FAILED in states else OPERATING
+    return {root: status[root] for root in roots}
 
 
 def defence_signature(adt: Adt, config: DefenceConfig) -> dict:
     """Status of each defence-subtree root under ``config`` -- the part of a
     configuration the attacker can actually observe."""
-    return {root: _status(adt, root, config) for root in defence_roots(adt)}
+    _, defence, roots = _sides(adt)
+    return _signature(defence, roots, config)
 
 
 def enumerate_defence_variants(adt: Adt) -> list[DefenceConfig]:
@@ -371,45 +387,28 @@ def enumerate_defence_variants(adt: Adt) -> list[DefenceConfig]:
     and two configurations count as equivalent when every defence-subtree
     root has the same status under both.
     """
-    leaves = defence_leaves(adt)
-    if not leaves:
-        return [{}]
-    roots = defence_roots(adt)
+    _, defence, roots = _sides(adt)
+    leaves = [x[0] for x in reversed(defence) if x[1] is NodeKind.LEAF]
     out: list[DefenceConfig] = []
     seen: set = set()
     for combo in itertools.product((FAILED, OPERATING), repeat=len(leaves)):
         config = dict(zip(leaves, combo))
-        sig = tuple(_status(adt, root, config) for root in roots)
+        sig = tuple(_signature(defence, roots, config).values())
         if sig not in seen:
             seen.add(sig)
             out.append(config)
     return out
 
 
-def _post(adt: Adt) -> list:
-    """``(label, NodeKind, DagKind, children)`` for every attack-side node
-    of ``adt`` (defence subtrees are skipped), descendants before
-    ancestors: the order :func:`_resolve` reads."""
-    out, stack = [], [adt.root]
-    while stack:
-        label = stack.pop()
-        node = adt.nodes[label]
-        out.append((label, node.kind, _KIND_OF[node.kind], node.children))
-        if node.kind in COUNTER_KINDS:
-            stack.append(node.children[0])
-        else:
-            stack.extend(node.children)
-    out.reverse()
-    return out
-
-
-def _resolve(status: dict, post: list) -> dict:
+def _resolve(status: dict, attack: list) -> dict:
     """label -> (DagKind, children) for every node that can still happen
     when each defence-subtree root has the status ``status`` gives it, by
     the rules of :func:`apply_defence_config`; the root is missing when the
-    attack is impossible.  ``post`` is :func:`_post` of the tree."""
+    attack is impossible.  ``attack`` is the attack side from
+    :func:`_sides`, and the result lists labels in its order, children
+    first."""
     shape: dict = {}
-    for label, kind, dag_kind, children in post:
+    for label, kind, dag_kind, children in attack:
         if not children:
             shape[label] = (dag_kind, children)
         elif kind is NodeKind.OR:
@@ -441,7 +440,8 @@ def apply_defence_config(adt: Adt, config: DefenceConfig) -> Dag:
     Defence subtrees never enter the DAG; each resolved counter gate stays
     as a zero-duration join over its action, or over nothing.
     """
-    shape = _resolve(defence_signature(adt, config), _post(adt))
+    attack, defence, roots = _sides(adt)
+    shape = _resolve(_signature(defence, roots, config), attack)
     if adt.root not in shape:
         return Dag()
     return expand_sand(_build(adt, compute_time_unit(adt), shape, {}))
@@ -496,14 +496,14 @@ class Case:
 
 
 class _Tree:
-    """What every defence outcome of one tree shares: the resolution order,
-    the defence-subtree roots, the time unit, each node's duration in unit
-    steps, and one table of generated names for all of its DAGs."""
+    """What every defence outcome of one tree shares: the attack and
+    defence sides, the defence-subtree roots, the time unit, each node's
+    duration in unit steps, and one table of generated names for all of its
+    DAGs."""
 
     def __init__(self, adt: Adt):
         self.adt = adt
-        self.post = _post(adt)
-        self.roots = defence_roots(adt)
+        self.attack, self.defence, self.roots = _sides(adt)
         self.tunit = compute_time_unit(adt)
         self.weight = {label: node.duration // self.tunit
                        for label, node in adt.nodes.items()}
@@ -511,13 +511,10 @@ class _Tree:
 
     def outcome(self, config: DefenceConfig) -> _Outcome:
         """Resolve the tree under ``config`` and pick its OR selections."""
-        adt = self.adt
-        signature = {root: _status(adt, root, config) for root in self.roots}
-        shape = _resolve(signature, self.post)
-        selections = []
-        if adt.root in shape:
-            selections = _or_selections(shape, adt.root, self.weight)
-        return _Outcome(self, signature, selections)
+        signature = _signature(self.defence, self.roots, config)
+        shape = _resolve(signature, self.attack)
+        return _Outcome(self, signature,
+                        _or_selections(shape, self.adt.root, self.weight))
 
 
 @dataclass
@@ -539,92 +536,97 @@ class _Outcome:
 
 
 def _or_selections(shape: dict, root: str, weight: dict) -> list:
-    """``(or_choices, variant shape)`` for every combination of OR choices
-    on the resolved tree ``shape`` whose completion time equals the best
-    achievable one, in the order they are found.
+    """``(or_choices, variant shape)`` for every fastest combination of OR
+    choices on the resolved tree ``shape`` (children first, as
+    :func:`_resolve` lists it; none if it lacks the root), in the order of
+    a depth-first search over the OR gates in preorder.
 
-    Completion time is the weighted critical path: a node adds its
-    ``weight`` in unit steps to the time of its children, which AND and
-    counter gates take the maximum of, SAND the sum, and an OR its chosen
-    child's or else its fastest child's.  The next gate to choose is the
-    first reachable unchosen OR in preorder (its DAG remnant has the
-    smallest creation index), and its children are tried in order, depth
-    first with an explicit stack of open gates; a partial choice that
-    already makes the root slower than the best is abandoned.  In a variant
-    shape each chosen OR keeps only its chosen child, and only the nodes
-    reachable from the root are listed.
+    A node's time is its ``weight`` plus the maximum of its children's (AND
+    and counter gates), their sum (SAND) or its chosen child's (OR).  One
+    pass takes each node's fastest time, bottom-up.  A second hands out
+    budgets, top-down: the root gets its fastest time and, with R a node's
+    budget minus its weight, an AND-like child gets R, a SAND child R minus
+    its siblings' fastest times, and an OR child R unless it is slower than
+    that, when it is never entered.  A third lists each budgeted node's
+    selections, bottom-up: an OR prefixes each selection of each entered
+    child with its own choice, and other gates combine their children left
+    to right, earlier children varying slowest; a SAND drops a partial
+    combination once its time plus its later children's fastest times
+    exceeds R.  Every kept entry extends to a best selection, so the work
+    is bounded by the tree and the output.  ``or_choices`` lists the chosen
+    gates in preorder; a variant shape lists the nodes reachable from the
+    root, each chosen OR keeping only its chosen child.
     """
-    post, stack = [], [root]
-    while stack:
-        label = stack.pop()
-        post.append(label)
-        stack.extend(reversed(shape[label][1]))
-    post.reverse()
+    if root not in shape:
+        return []
+    fastest: dict = {}
+    for label in shape:
+        kind, kids = shape[label]
+        times = [fastest[c] for c in kids] or [0]
+        fastest[label] = weight[label] + (
+            min(times) if kind is DagKind.OR
+            else sum(times) if kind is DagKind.SAND else max(times))
 
-    def completion(choices):
-        time: dict = {}
-        for label in post:
-            kind, kids = shape[label]
-            if not kids:
-                t = 0
-            elif kind is DagKind.OR:
-                chosen = choices.get(label)
-                t = (time[chosen] if chosen is not None
-                     else min(time[c] for c in kids))
-            elif kind is DagKind.SAND:
-                t = sum(time[c] for c in kids)
+    budget = {root: fastest[root]}
+    for label in reversed(shape):
+        if label not in budget:
+            continue
+        kind, kids = shape[label]
+        rest = budget[label] - weight[label]
+        slack = budget[label] - fastest[label]
+        for child in kids:
+            if kind is DagKind.SAND:
+                budget[child] = fastest[child] + slack
+            elif kind is not DagKind.OR or fastest[child] <= rest:
+                budget[child] = rest
+
+    # a selection is (time, chosen); chosen is (), (gate, child, chosen)
+    # or (chosen, chosen), read left to right
+    picks: dict = {}
+    for label in shape:
+        if label not in budget:
+            continue
+        kind, kids = shape[label]
+        if kind is DagKind.OR:
+            partial = [(t, (label, child, chosen))
+                       for child in kids if child in budget
+                       for t, chosen in picks[child]]
+        else:
+            sand = kind is DagKind.SAND
+            room = budget[label] - fastest[label]
+            partial = [(0, ())]
+            for child in kids:
+                room += fastest[child]  # R minus later children's fastest
+                partial = [(t + u if sand else max(t, u), (chosen, more))
+                           for t, chosen in partial
+                           for u, more in picks[child]
+                           if not sand or t + u <= room]
+        picks[label] = [(t + weight[label], chosen) for t, chosen in partial]
+
+    out = []
+    for _, chosen in picks[root]:
+        choices, stack = {}, [chosen]
+        while stack:  # read chosen left to right
+            item = stack.pop()
+            if len(item) == 3:
+                choices[item[0]] = item[1]
+                stack.append(item[2])
             else:
-                t = max(time[c] for c in kids)
-            time[label] = t + weight[label]
-        return time[root]
-
-    def first_open(choices):
-        """The first reachable unchosen OR, or None and every reachable
-        label in preorder."""
-        seen, stack = [], [root]
+                stack += reversed(item)
+        variant, stack = {}, [root]
         while stack:
             label = stack.pop()
-            kind, kids = shape[label]
-            if kind is DagKind.OR:
-                chosen = choices.get(label)
-                if chosen is None:
-                    return label, seen
-                stack.append(chosen)
-            else:
-                stack.extend(reversed(kids))
-            seen.append(label)
-        return None, seen
-
-    best = completion({})
-    out: list = []
-    choices: dict = {}
-    open_gates: list = []  # (gate, position of the child to try next)
-    while True:
-        # a partial choice already slower than the best cannot be fixed
-        if completion(choices) <= best:
-            gate, seen = first_open(choices)
-            if gate is None:
-                variant = {label: shape[label] for label in seen}
-                for chosen_gate, child in choices.items():
-                    variant[chosen_gate] = (DagKind.OR, [child])
-                out.append((dict(choices), variant))
-            else:
-                open_gates.append((gate, 0))
-        while open_gates:
-            gate, position = open_gates.pop()
-            kids = shape[gate][1]
-            if position < len(kids):
-                choices[gate] = kids[position]
-                open_gates.append((gate, position + 1))
-                break
-            del choices[gate]
-        else:
-            return out
+            child = choices.get(label)
+            entry = (DagKind.OR, [child]) if child else shape[label]
+            variant[label] = entry
+            stack.extend(entry[1])
+        out.append((choices, variant))
+    return out
 
 
 def enumerate_or_variants(adt: Adt, config: DefenceConfig) -> list[Variant]:
-    """One variant per combination of OR choices that achieves the fastest
-    possible completion under ``config``, each with its own DAG built once
+    """One variant per combination of OR choices that finishes the attack
+    fastest under ``config``, each with its own DAG built once
     from the resolved tree; distinct choices always leave distinct DAGs.
     An impossible attack gives the single infeasible variant."""
     return _variants(config, _Tree(adt).outcome(config))

@@ -1,0 +1,101 @@
+"""Byte-identity differential over a fixed set of CLI runs.
+
+    python3 tests/differential.py SRC
+
+Imports ``adtsched`` from the source directory SRC, runs every invocation
+below in process and prints the number of runs and one sha256 over the
+args, stdout, stderr and exit code of all of them, in order.  Run it on the
+``src/`` of two checkouts and compare the two lines: a change meant to keep
+the CLI output byte-identical must print the same count and digest.
+
+The runs are
+
+* ``random_adt(max_leaves=12, max_time=3)`` seeds 0..2999, with
+  ``defence_prob`` 0.2, 0.4 and 0.6 by seed mod 3, each tree under every
+  entry of ``TREE_INVOCATIONS``;
+* every input of the four workloads in ``perfbench/workloads.py`` at seeds
+  1 and 2, each under ``schedule`` with its own flags.
+
+The tree file is always ``tree.adt`` in the current directory, so messages
+that name it read the same in every checkout.  The file name does not
+start with ``test_``, so pytest does not collect it.
+"""
+
+import contextlib
+import hashlib
+import io
+import os
+import pathlib
+import random
+import sys
+import tempfile
+
+HERE = pathlib.Path(__file__).resolve().parent
+TREE = "tree.adt"
+
+TREE_INVOCATIONS = [
+    ["schedule", TREE, "--json", "--all-or-variants"],
+    ["schedule", TREE, "--slots-override", "9", "--json"],
+    ["schedule", TREE, "--elide"],
+    ["variants", TREE],
+]
+
+
+def inputs(serialize_adt, random_adt, workloads):
+    """``(tree text, [args, ...])`` for every tree, in run order."""
+    for seed in range(3000):
+        adt = random_adt(random.Random(seed), max_leaves=12, max_time=3,
+                         defence_prob=(0.2, 0.4, 0.6)[seed % 3])
+        yield serialize_adt(adt), TREE_INVOCATIONS
+    for name in workloads.WORKLOADS:
+        for seed in (1, 2):
+            for item in workloads.build(name, seed):
+                yield item.text, [["schedule", TREE] + item.flags]
+
+
+def run(cli, args):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(args)
+        except Exception as exc:  # an escaping exception is a result too
+            code = "raised %s: %s" % (type(exc).__name__, exc)
+    return out.getvalue(), err.getvalue(), code
+
+
+def main(argv) -> int:
+    if len(argv) != 2:
+        print("usage: %s SRC" % argv[0], file=sys.stderr)
+        return 1
+    src = pathlib.Path(argv[1]).resolve()
+    sys.path[:0] = [str(src), str(HERE), str(HERE.parent / "perfbench")]
+    from adtsched import cli
+    from adtsched.parser import serialize_adt
+    from rand_trees import random_adt
+    import workloads
+
+    if src not in pathlib.Path(cli.__file__).resolve().parents:
+        print("error: adtsched was imported from %s, not from %s"
+              % (cli.__file__, src), file=sys.stderr)
+        return 1
+    digest, count = hashlib.sha256(), 0
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for text, invocations in inputs(serialize_adt, random_adt,
+                                            workloads):
+                with open(TREE, "w", encoding="utf-8") as handle:
+                    handle.write(text)
+                for args in invocations:
+                    result = (args,) + run(cli, args)
+                    digest.update(repr(result).encode())
+                    count += 1
+        finally:
+            os.chdir(home)
+    print("%d runs %s" % (count, digest.hexdigest()))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))

@@ -190,6 +190,21 @@ def test_export_variant_out_of_range(capsys):
     assert "variant" in err
 
 
+@pytest.mark.parametrize("stage", ["normalized", "variant:1"])
+@pytest.mark.parametrize("text, message", [
+    ("s: SAND(a, s')\na: ATTACK time=1\ns': ATTACK time=1\n",
+     "generated name \"s'_1\" already exists"),
+    ("a: AND(b)\nb: ATTACK\n", "all durations are zero"),
+], ids=["name-collision", "all-zero"])
+def test_export_reports_pipeline_errors(capsys, tmp_path, stage, text,
+                                        message):
+    tree = tmp_path / "bad.adt"
+    tree.write_text(text)
+    code, out, err = run(capsys, "export", str(tree), "--dot", "--stage",
+                         stage)
+    assert (code, out, err) == (2, "", "error: %s\n" % message)
+
+
 def test_export_bad_variant_index_is_a_usage_error(capsys):
     code, _, _ = run(capsys, "export", TREASURE, "--dot", "--stage", "variant:zz")
     assert code == 1

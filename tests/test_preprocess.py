@@ -23,7 +23,12 @@ from adtsched import (
     preprocess_cases,
     validate_adt,
 )
-from adtsched.preprocess import canonical_form, copy_dag, defence_roots
+from adtsched.preprocess import (
+    _or_selections,
+    canonical_form,
+    copy_dag,
+    defence_roots,
+)
 
 from conftest import load_tree
 from reference_or_walk import reachable
@@ -295,6 +300,58 @@ def test_or_choices_only_list_reachable_gates():
         (("ACLI", "co"), ("OAP", "ACLI")),
         (("GSAP", "TSA"), ("OAP", "GSAP")),
     ]
+
+
+class CountingShape(dict):
+    """A resolved shape that counts how often its entries are read."""
+
+    lookups = 0
+
+    def __getitem__(self, label):
+        self.lookups += 1
+        return super().__getitem__(label)
+
+    def get(self, label, default=None):
+        self.lookups += 1
+        return super().get(label, default)
+
+
+def or_fan_shape(k, fast=1, slow=2):
+    """Resolved shape and weights of an AND over k two-way ORs."""
+    shape, weight, ors = CountingShape(), {"r": 0}, []
+    for i in range(k):
+        a, b, gate = "a%d" % i, "b%d" % i, "o%d" % i
+        shape[a], shape[b] = (DagKind.LEAF, []), (DagKind.LEAF, [])
+        shape[gate] = (DagKind.OR, [a, b])
+        weight.update({a: fast, b: slow, gate: 0})
+        ors.append(gate)
+    shape["r"] = (DagKind.AND, ors)
+    return shape, weight
+
+
+def test_or_walk_work_grows_linearly():
+    # one variant either way, so the walk's work should grow with the tree
+    lookups = []
+    for k in (300, 1200):
+        shape, weight = or_fan_shape(k)
+        [(choices, variant)] = _or_selections(shape, "r", weight)
+        assert choices == {"o%d" % i: "a%d" % i for i in range(k)}
+        assert len(variant) == 2 * k + 1
+        lookups.append(shape.lookups)
+    assert lookups[1] <= 5 * lookups[0], lookups
+
+
+def test_or_walk_never_enters_a_slow_branch():
+    # the slow branch hides 2^16 equally fast selections of its own
+    shape, weight = or_fan_shape(16, fast=1, slow=1)
+    shape["slow"] = shape.pop("r")
+    shape["fast"] = (DagKind.LEAF, [])
+    shape["r"] = (DagKind.OR, ["fast", "slow"])
+    weight.update({"slow": 1, "fast": 1, "r": 0})
+    assert _or_selections(shape, "r", weight) \
+        == [({"r": "fast"}, {"r": (DagKind.OR, ["fast"]),
+                             "fast": (DagKind.LEAF, [])})]
+    assert shape.lookups <= 4 * len(shape)
 
 
 def test_cases_merge_indistinguishable_outcomes():
