@@ -24,6 +24,7 @@ from .generator import InvalidParams, generate_scaling_adt, run_scalability
 from .model import validate_adt
 from .parser import ParseError, export_dot, parse_adt, serialize_adt
 from .preprocess import (
+    enumerate_or_variants,
     expand_sand,
     normalize_time,
     preprocess,
@@ -133,10 +134,19 @@ def cmd_schedule(ns) -> int:
     adt = _load(ns.tree)
     if adt is None:
         return 2
-    cases = preprocess_cases(adt)
+    cases = preprocess_cases(adt, all_variants=ns.all_or_variants)
     flat = [v for case in cases for v in case.variants]
     results = min_schedule(flat, slots_override=ns.slots_override)
     results_by_id = {id(r.variant): r for r in results}
+    for case in cases:
+        # a representative stands for its class only when its count is
+        # proven minimal; otherwise a skipped member might need fewer
+        if case.collapsed and not all(results_by_id[id(v)].certified
+                                      for v in case.variants):
+            case.variants = enumerate_or_variants(adt, case.config)
+            full = min_schedule(case.variants,
+                                slots_override=ns.slots_override)
+            results_by_id.update((id(r.variant), r) for r in full)
     selected = _select_results(cases, results_by_id, ns.all_or_variants)
     if ns.json:
         sys.stdout.write(to_json(selected, adt))

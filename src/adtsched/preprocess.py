@@ -11,8 +11,9 @@ returns (one per inequivalent outcome) it
    bottom-up, to what the attacker still has to do (possibly nothing),
 2. picks every combination of OR choices that finishes the attack
    fastest, in three passes over the resolved tree
-   (:func:`_or_selections`), and merges outcomes whose selections keep the
-   same label sets into one case,
+   (:func:`_or_selections`), and merges outcomes that keep the same tree
+   nodes into one case; on request it keeps one selection per class of
+   equally shaped ones,
 3. builds each new case's variants once: every timed node becomes a chain
    of unit steps above a zero-duration remnant, and :func:`expand_sand`
    rewrites ordered conjunctions into cross-links.
@@ -487,19 +488,24 @@ class Variant:
 @dataclass
 class Case:
     """All variants sharing one defence outcome; ``merged_signatures`` lists
-    the outcome signatures that turned out indistinguishable."""
+    the outcome signatures that turned out indistinguishable.  ``collapsed``
+    is true when ``variants`` keeps one representative per class of equally
+    shaped selections and left others out (see :func:`preprocess_cases`)."""
 
     signature: dict
     merged_signatures: list
     config: DefenceConfig
     variants: list
+    collapsed: bool = False
 
 
 class _Tree:
     """What every defence outcome of one tree shares: the attack and
     defence sides, the defence-subtree roots, the time unit, each node's
     duration in unit steps, and one table of generated names for all of its
-    DAGs."""
+    DAGs.  ``clash`` is true when a SAND ``s`` and a label ``s'`` both
+    exist, so that :func:`expand_sand` may reject some variants by their
+    names alone."""
 
     def __init__(self, adt: Adt):
         self.adt = adt
@@ -508,38 +514,46 @@ class _Tree:
         self.weight = {label: node.duration // self.tunit
                        for label, node in adt.nodes.items()}
         self.names: dict = {}
+        self.clash = any(node.kind is NodeKind.SAND
+                         and label + "'" in adt.nodes
+                         for label, node in adt.nodes.items())
 
-    def outcome(self, config: DefenceConfig) -> _Outcome:
-        """Resolve the tree under ``config`` and pick its OR selections."""
+    def outcome(self, config: DefenceConfig,
+                classes: bool = False) -> _Outcome:
+        """Resolve the tree under ``config`` and pick its OR selections,
+        with ``classes`` one per class (see :func:`_or_selections`)."""
         signature = _signature(self.defence, self.roots, config)
         shape = _resolve(signature, self.attack)
         return _Outcome(self, signature,
-                        _or_selections(shape, self.adt.root, self.weight))
+                        *_or_selections(shape, self.adt.root, self.weight,
+                                        classes))
 
 
 @dataclass
 class _Outcome:
     """One defence outcome, resolved and OR-walked but not built.
     ``selections`` holds ``(or_choices, variant shape)`` per time-optimal
-    OR selection and is empty when the attack is impossible."""
+    OR selection kept and is empty when the attack is impossible.
+    ``labels``, the tree nodes some time-optimal selection keeps, decides
+    the selections and so the variants: two outcomes of one tree leave the
+    same variants exactly when their ``labels`` agree.  ``collapsed`` tells
+    whether selections were left out as equally shaped."""
 
     tree: _Tree
     signature: dict
     selections: list
-
-    def fingerprint(self) -> frozenset:
-        """The label sets of the variants.  Within one tree a label set
-        fixes the variant's resolved shape and so its DAG, and different
-        label sets give DAGs with different node origins, so two outcomes
-        leave the same variants exactly when their fingerprints agree."""
-        return frozenset(frozenset(shape) for _, shape in self.selections)
+    labels: frozenset
+    collapsed: bool
 
 
-def _or_selections(shape: dict, root: str, weight: dict) -> list:
+def _or_selections(shape: dict, root: str, weight: dict,
+                   classes: bool = False) -> tuple[list, frozenset, bool]:
     """``(or_choices, variant shape)`` for every fastest combination of OR
     choices on the resolved tree ``shape`` (children first, as
     :func:`_resolve` lists it; none if it lacks the root), in the order of
-    a depth-first search over the OR gates in preorder.
+    a depth-first search over the OR gates in preorder; with them the set
+    of nodes that hold a budget (below), and whether ``classes`` left any
+    selection out.
 
     A node's time is its ``weight`` plus the maximum of its children's (AND
     and counter gates), their sum (SAND) or its chosen child's (OR).  One
@@ -553,12 +567,21 @@ def _or_selections(shape: dict, root: str, weight: dict) -> list:
     to right, earlier children varying slowest; a SAND drops a partial
     combination once its time plus its later children's fastest times
     exceeds R.  Every kept entry extends to a best selection, so the work
-    is bounded by the tree and the output.  ``or_choices`` lists the chosen
-    gates in preorder; a variant shape lists the nodes reachable from the
-    root, each chosen OR keeping only its chosen child.
+    is bounded by the tree and the output, and the nodes with a budget are
+    exactly those that some selection keeps.  ``or_choices`` lists the
+    chosen gates in preorder; a variant shape lists the nodes reachable
+    from the root, each chosen OR keeping only its chosen child.
+
+    With ``classes`` the third pass also keys each budgeted node by its
+    kind, its weight and its children's keys, sorted except under a SAND,
+    an OR counting its entered children only (the encoding of Aho, Hopcroft
+    and Ullman).  Nodes with equal keys root the same selections up to
+    labels, so an OR enters only the first of its children with each key,
+    and each selection left stands for the ones it skipped, which come
+    later in the full order and differ from it only in labels.
     """
     if root not in shape:
-        return []
+        return [], frozenset(), False
     fastest: dict = {}
     for label in shape:
         kind, kids = shape[label]
@@ -583,13 +606,24 @@ def _or_selections(shape: dict, root: str, weight: dict) -> list:
     # a selection is (time, chosen); chosen is (), (gate, child, chosen)
     # or (chosen, chosen), read left to right
     picks: dict = {}
+    keys: dict = {}
+    interned: dict = {}
+    collapsed = False
     for label in shape:
         if label not in budget:
             continue
         kind, kids = shape[label]
         if kind is DagKind.OR:
+            kids = [c for c in kids if c in budget]
+            entered = kids
+            if classes:
+                first = {}
+                for child in kids:
+                    first.setdefault(keys[child], child)
+                entered = list(first.values())
+                collapsed = collapsed or len(entered) < len(kids)
             partial = [(t, (label, child, chosen))
-                       for child in kids if child in budget
+                       for child in entered
                        for t, chosen in picks[child]]
         else:
             sand = kind is DagKind.SAND
@@ -602,6 +636,12 @@ def _or_selections(shape: dict, root: str, weight: dict) -> list:
                            for u, more in picks[child]
                            if not sand or t + u <= room]
         picks[label] = [(t + weight[label], chosen) for t, chosen in partial]
+        if classes:
+            child_keys = [keys[c] for c in kids]
+            if kind is not DagKind.SAND:
+                child_keys.sort()
+            keys[label] = interned.setdefault(
+                (kind, weight[label], tuple(child_keys)), len(interned))
 
     out = []
     for _, chosen in picks[root]:
@@ -621,7 +661,7 @@ def _or_selections(shape: dict, root: str, weight: dict) -> list:
             variant[label] = entry
             stack.extend(entry[1])
         out.append((choices, variant))
-    return out
+    return out, frozenset(budget), collapsed
 
 
 def enumerate_or_variants(adt: Adt, config: DefenceConfig) -> list[Variant]:
@@ -646,26 +686,34 @@ def _variants(config: DefenceConfig, outcome: _Outcome) -> list[Variant]:
             for choices, shape in outcome.selections]
 
 
-def preprocess_cases(adt: Adt) -> list[Case]:
+def preprocess_cases(adt: Adt, all_variants: bool = True) -> list[Case]:
     """Full pipeline, grouped by defence outcome.  Outcomes that leave the
-    same variants are merged into one case before any DAG is built."""
+    same variants are merged into one case before any DAG is built.
+
+    With ``all_variants`` false a case keeps one variant per class of
+    selections that differ only in labels (see :func:`_or_selections`),
+    the first of each in the full order, and says so in ``collapsed``;
+    :func:`enumerate_or_variants` on its ``config`` lists them all.  Trees
+    whose generated names may clash (see :class:`_Tree`) are never
+    collapsed, so each variant is built as in the full list."""
     problems = validate_adt(adt)
     if problems:
         raise ValueError("invalid tree: %s" % problems[0].message)
     tree = _Tree(adt)
+    classes = not all_variants and not tree.clash
     cases: list[Case] = []
-    by_fingerprint: dict = {}
+    by_labels: dict = {}
     for config in enumerate_defence_variants(adt):
-        outcome = tree.outcome(config)
-        fingerprint = outcome.fingerprint()
-        known = by_fingerprint.get(fingerprint)
+        outcome = tree.outcome(config, classes)
+        known = by_labels.get(outcome.labels)
         if known is not None:
             known.merged_signatures.append(outcome.signature)
             continue
         variants = _variants(config, outcome)
-        case = Case(outcome.signature, [outcome.signature], config, variants)
+        case = Case(outcome.signature, [outcome.signature], config, variants,
+                    outcome.collapsed)
         cases.append(case)
-        by_fingerprint[fingerprint] = case
+        by_labels[outcome.labels] = case
     return cases
 
 

@@ -228,6 +228,12 @@ class ScheduleResult:
     def n(self) -> int:
         return self.variant.dag.n
 
+    @property
+    def certified(self) -> bool:
+        """``agents`` is proven minimal: there is nothing to schedule, or
+        the pigeonhole bound rules out one agent fewer."""
+        return self.bounds is None or self.agents == self.bounds.lower + 1
+
 
 def _min_agents(dag: Dag, bounds: Bounds) -> int:
     """Bisect for the fewest agents the packer fits into ``bounds.slots``;

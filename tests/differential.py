@@ -34,6 +34,7 @@ HERE = pathlib.Path(__file__).resolve().parent
 TREE = "tree.adt"
 
 TREE_INVOCATIONS = [
+    ["schedule", TREE, "--json"],
     ["schedule", TREE, "--json", "--all-or-variants"],
     ["schedule", TREE, "--slots-override", "9", "--json"],
     ["schedule", TREE, "--elide"],

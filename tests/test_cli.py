@@ -2,14 +2,16 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
-from adtsched import cli, parse_adt, scheduler
+from adtsched import cli, parse_adt, scheduler, serialize_adt
 
 from conftest import TREES
+from rand_trees import random_adt
 
 TREASURE = str(TREES / "treasure.adt")
 GAIN = str(TREES / "gain-admin.adt")
@@ -160,6 +162,85 @@ def test_name_collision_across_or_branches_is_no_error(capsys, tmp_path):
     assert code == 0
     assert out.startswith("no defences [r=s]: slots=2 agents=1 cost=0\n")
     assert err == ""
+
+
+# ------------------------------------------------------- equally shaped ORs
+
+
+def or_fan_text(k):
+    """An AND over k two-way ORs whose branches are leaves of time 2."""
+    lines = ["r: AND(%s)" % ", ".join("o%d" % i for i in range(k))]
+    for i in range(k):
+        lines += ["o%d: OR(a%d, b%d)" % (i, i, i),
+                  "a%d: ATTACK time=2" % i, "b%d: ATTACK time=2" % i]
+    return "\n".join(lines) + "\n"
+
+
+def test_default_schedule_schedules_one_variant_of_an_or_fan(
+        capsys, monkeypatch, tmp_path):
+    tree = tmp_path / "or-fan.adt"
+    tree.write_text(or_fan_text(12))
+    sent = []
+
+    def counting(variants, min_schedule=cli.min_schedule, **kwargs):
+        sent.extend(variants)
+        return min_schedule(variants, **kwargs)
+
+    monkeypatch.setattr(cli, "min_schedule", counting)
+    code, out, _ = run(capsys, "schedule", str(tree), "--json")
+    assert code == 0
+    assert len(sent) == 1
+    [variant] = json.loads(out)["variants"]
+    assert variant["or_choices"] == {"o%d" % i: "a%d" % i for i in range(12)}
+    assert (variant["slots"], variant["agents"]) == (1, 12)
+    code, out, _ = run(capsys, "schedule", str(tree), "--json",
+                       "--all-or-variants")
+    assert code == 0
+    assert len(json.loads(out)["variants"]) == 4096
+
+
+def test_uncertified_classes_are_scheduled_in_full(
+        capsys, monkeypatch, tmp_path):
+    paths = [str(path) for path in sorted(TREES.glob("*.adt"))]
+    fan = tmp_path / "or-fan.adt"
+    fan.write_text(or_fan_text(6))
+    paths.append(str(fan))
+    for seed in range(100):
+        path = tmp_path / ("random-%d.adt" % seed)
+        path.write_text(serialize_adt(random_adt(
+            random.Random(seed), max_leaves=12, max_time=3,
+            defence_prob=0.4)))
+        paths.append(str(path))
+    argvs = [("schedule", path) + flags
+             for path in paths for flags in ((), ("--json",))]
+    expected = [run(capsys, *argv) for argv in argvs]
+    monkeypatch.setattr(scheduler.ScheduleResult, "certified",
+                        property(lambda self: False))
+    rebuilt = []
+
+    def counting(adt, config, enumerate_or_variants=cli.enumerate_or_variants):
+        rebuilt.append(adt.root)
+        return enumerate_or_variants(adt, config)
+
+    monkeypatch.setattr(cli, "enumerate_or_variants", counting)
+    for argv, before in zip(argvs, expected):
+        calls = len(rebuilt)
+        assert run(capsys, *argv) == before, argv
+        if argv[1] == str(fan):
+            assert len(rebuilt) == calls + 1
+    assert len(rebuilt) > 2  # some random trees fall back too
+
+
+def test_name_clash_in_a_skipped_branch_is_still_an_error(capsys, tmp_path):
+    # x and s' have one shape, so a walk by classes could skip s'; its
+    # step s'_1 clashes with the first SAND joint of s all the same
+    tree = tmp_path / "clash.adt"
+    tree.write_text("r: AND(s, o)\ns: SAND(a, b)\no: OR(x, s')\n"
+                    "a: ATTACK time=1\nb: ATTACK time=1\n"
+                    "x: ATTACK time=1\ns': ATTACK time=1\n")
+    for flags in ((), ("--all-or-variants",)):
+        assert run(capsys, "schedule", str(tree), *flags) \
+            == (2, "", "error: generated name \"s'_1\" already exists\n")
 
 
 # ------------------------------------------------------------------- export

@@ -1,6 +1,8 @@
 """Pipeline stages: time normalisation, sequence expansion, defence
 resolution, choice enumeration."""
 
+import random
+
 import pytest
 
 from adtsched import (
@@ -15,6 +17,7 @@ from adtsched import (
     compute_time_unit,
     defence_signature,
     enumerate_defence_variants,
+    enumerate_or_variants,
     expand_sand,
     min_schedule,
     normalize_time,
@@ -24,13 +27,15 @@ from adtsched import (
     validate_adt,
 )
 from adtsched.preprocess import (
+    _Tree,
     _or_selections,
     canonical_form,
     copy_dag,
     defence_roots,
 )
 
-from conftest import load_tree
+from conftest import TREES, load_tree
+from rand_trees import random_adt
 from reference_or_walk import reachable
 
 
@@ -334,7 +339,7 @@ def test_or_walk_work_grows_linearly():
     lookups = []
     for k in (300, 1200):
         shape, weight = or_fan_shape(k)
-        [(choices, variant)] = _or_selections(shape, "r", weight)
+        [(choices, variant)], _, _ = _or_selections(shape, "r", weight)
         assert choices == {"o%d" % i: "a%d" % i for i in range(k)}
         assert len(variant) == 2 * k + 1
         lookups.append(shape.lookups)
@@ -348,7 +353,7 @@ def test_or_walk_never_enters_a_slow_branch():
     shape["fast"] = (DagKind.LEAF, [])
     shape["r"] = (DagKind.OR, ["fast", "slow"])
     weight.update({"slow": 1, "fast": 1, "r": 0})
-    assert _or_selections(shape, "r", weight) \
+    assert _or_selections(shape, "r", weight)[0] \
         == [({"r": "fast"}, {"r": (DagKind.OR, ["fast"]),
                              "fast": (DagKind.LEAF, [])})]
     assert shape.lookups <= 4 * len(shape)
@@ -365,6 +370,87 @@ def test_gain_admin_collapses_to_three_cases():
     cases = preprocess_cases(load_tree("gain-admin"))
     assert len(cases) == 3
     assert sorted(len(c.merged_signatures) for c in cases) == [1, 1, 2]
+
+
+def first_of_each(keys):
+    """The grouping ``keys`` make, as the index of each key's first
+    occurrence."""
+    return [keys.index(k) for k in keys]
+
+
+def test_outcomes_merge_by_the_nodes_their_selections_keep():
+    # the cases merge outcomes by the tree nodes with a budget; grouping
+    # by the node origins of every built variant must give the same cases
+    adts = [parse_adt(path.read_text()) for path in sorted(TREES.glob("*.adt"))]
+    adts += [random_adt(random.Random(seed), max_leaves=12, max_time=3,
+                        defence_prob=(0.4, 0.6)[seed % 2])
+             for seed in range(300)]
+    merged = 0
+    for adt in adts:
+        tree = _Tree(adt)
+        by_labels, by_origins = [], []
+        for config in enumerate_defence_variants(adt):
+            labels = tree.outcome(config).labels
+            assert tree.outcome(config, classes=True).labels == labels
+            by_labels.append(labels)
+            by_origins.append(frozenset(
+                frozenset(x.origin for x in v.dag.nodes)
+                for v in enumerate_or_variants(adt, config)))
+        assert first_of_each(by_labels) == first_of_each(by_origins)
+        merged += len(by_labels) - len(set(by_labels))
+    assert merged > 100  # the rule is exercised, not vacuous
+
+
+# ------------------------------------------------------------- shape classes
+
+
+def walks(text):
+    """The one case of ``text`` with one variant per class, and in full."""
+    adt = parse_adt(text)
+    [by_class] = preprocess_cases(adt, all_variants=False)
+    [full] = preprocess_cases(adt)
+    assert not full.collapsed
+    assert by_class.variants[0].or_choices == full.variants[0].or_choices
+    return by_class, full
+
+
+def leaves(**times):
+    return "".join("%s: ATTACK time=%d\n" % kv for kv in times.items())
+
+
+def test_and_child_order_does_not_split_a_class():
+    by_class, full = walks("r: OR(x, y)\nx: AND(a, b)\ny: AND(c, d)\n"
+                           + leaves(a=1, b=2, c=2, d=1))
+    assert len(full.variants) == 2
+    assert [v.or_choices for v in by_class.variants] == [{"r": "x"}]
+    assert by_class.collapsed
+
+
+def test_sand_child_order_splits_a_class():
+    by_class, full = walks("r: OR(x, y)\nx: SAND(a, b)\ny: SAND(c, d)\n"
+                           + leaves(a=1, b=2, c=2, d=1))
+    assert [v.or_choices for v in by_class.variants] \
+        == [v.or_choices for v in full.variants] == [{"r": "x"}, {"r": "y"}]
+    assert not by_class.collapsed
+
+
+def test_different_weights_split_a_class():
+    # both branches take 2, but x waits for a step of 1 where y has 2
+    by_class, full = walks("r: OR(x, y)\nx: AND(a, b)\ny: AND(c, d)\n"
+                           + leaves(a=1, b=2, c=2, d=2))
+    assert [v.or_choices for v in by_class.variants] \
+        == [v.or_choices for v in full.variants] == [{"r": "x"}, {"r": "y"}]
+    assert not by_class.collapsed
+
+
+def test_equal_branches_with_nested_ors_form_one_class():
+    by_class, full = walks("r: OR(x, y)\nx: AND(p, a)\ny: AND(d, q)\n"
+                           "p: OR(e, f)\nq: OR(g, h)\n"
+                           + leaves(a=1, d=1, e=1, f=1, g=1, h=1))
+    assert len(full.variants) == 4
+    assert [v.or_choices for v in by_class.variants] \
+        == [{"r": "x", "p": "e"}]
+    assert by_class.collapsed
 
 
 # ------------------------------------------------------------ canonical form
