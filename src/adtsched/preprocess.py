@@ -4,18 +4,21 @@ The scheduler downstream only understands one thing: a DAG whose
 unit-duration steps (``SEQ`` nodes) must each get an agent and a time slot,
 with every node waiting for all of its children.  :func:`preprocess_cases`
 splits one preorder of the tree into its attack side and its defence
-subtrees, then for each configuration :func:`enumerate_defence_variants`
-returns (one per inequivalent outcome) it
+subtrees, then
 
-1. evaluates every defence node once and resolves the attack side,
-   bottom-up, to what the attacker still has to do (possibly nothing),
-2. picks every combination of OR choices that finishes the attack
-   fastest, in three passes over the resolved tree
-   (:func:`_or_selections`), and merges outcomes that keep the same tree
+1. resolves the attack side in one bottom-up pass to what the attacker
+   still has to do (possibly nothing) under every outcome of the defence
+   subtrees at once: each node keeps its distinct resolved shapes, each
+   with the first outcome that leaves it (:meth:`_Tree.resolve`), so the
+   work follows the distinct shapes, not the 2^(defence leaves)
+   configurations,
+2. picks, for each distinct resolved tree, every combination of OR
+   choices that finishes the attack fastest, in three passes
+   (:func:`_or_selections`), and merges trees that keep the same tree
    nodes into one case; on request it keeps one selection per class of
    equally shaped ones,
-3. builds each new case's variants once: every timed node becomes a chain
-   of unit steps above a zero-duration remnant, and :func:`expand_sand`
+3. builds each case's variants once: every timed node becomes a chain of
+   unit steps above a zero-duration remnant, and :func:`expand_sand`
    rewrites ordered conjunctions into cross-links.
 
 The stages also stand alone: :func:`apply_defence_config` builds one
@@ -26,6 +29,7 @@ lists the variants of every case.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 from dataclasses import dataclass, field
@@ -380,53 +384,64 @@ def defence_signature(adt: Adt, config: DefenceConfig) -> dict:
     return _signature(defence, roots, config)
 
 
+def _block_order(defence: list, roots: list) -> list:
+    """The defence-subtree ``roots`` in preorder of the roots themselves,
+    which is the order of their blocks of leaves.  It differs from
+    :func:`defence_roots` when a counter gate sits inside another's
+    action: the inner root comes first here."""
+    found = set(roots)
+    return [x[0] for x in reversed(defence) if x[0] in found]
+
+
+def _config(adt: Adt, blocks: list, statuses: tuple) -> DefenceConfig:
+    """The first configuration, over the defence leaves in depth-first
+    order with FAILED before OPERATING, that gives each of the ``blocks``
+    roots its status in ``statuses``.  The subtrees are disjoint, so it is
+    each root's first block in turn: a failed root fails all of its leaves;
+    an operating leaf operates, an operating OR fails every child but its
+    last and makes that one operate, and any other operating gate makes all
+    of its children operate."""
+    config: DefenceConfig = {}
+    for root, status in zip(blocks, statuses):
+        stack = [(root, status)]
+        while stack:
+            label, want = stack.pop()
+            node = adt.nodes[label]
+            kids = node.children
+            if not kids:
+                config[label] = want
+            elif want == FAILED or node.kind is not NodeKind.OR:
+                stack.extend((c, want) for c in reversed(kids))
+            else:
+                stack.append((kids[-1], OPERATING))
+                stack.extend((c, FAILED) for c in reversed(kids[:-1]))
+    return config
+
+
 def enumerate_defence_variants(adt: Adt) -> list[DefenceConfig]:
     """One representative configuration per inequivalent defence outcome.
 
-    Configurations are enumerated over the defence leaves in depth-first
-    order, FAILED before OPERATING (so the undefended outcome comes first),
-    and two configurations count as equivalent when every defence-subtree
-    root has the same status under both.
+    Two configurations count as equivalent when every defence-subtree root
+    has the same status under both.  The representatives are the first of
+    each outcome among the configurations over the defence leaves in
+    depth-first order, FAILED before OPERATING, listed in that order (so
+    the undefended outcome comes first).  Each root can fail and operate
+    independently of the others, so they are built from the roots'
+    statuses, 2^(roots) of them, not found among the 2^(leaves)
+    configurations.
     """
     _, defence, roots = _sides(adt)
-    leaves = [x[0] for x in reversed(defence) if x[1] is NodeKind.LEAF]
-    out: list[DefenceConfig] = []
-    seen: set = set()
-    for combo in itertools.product((FAILED, OPERATING), repeat=len(leaves)):
-        config = dict(zip(leaves, combo))
-        sig = tuple(_signature(defence, roots, config).values())
-        if sig not in seen:
-            seen.add(sig)
-            out.append(config)
-    return out
+    blocks = _block_order(defence, roots)
+    return [_config(adt, blocks, statuses)
+            for statuses in itertools.product((FAILED, OPERATING),
+                                              repeat=len(blocks))]
 
 
-def _resolve(status: dict, attack: list) -> dict:
-    """label -> (DagKind, children) for every node that can still happen
-    when each defence-subtree root has the status ``status`` gives it, by
-    the rules of :func:`apply_defence_config`; the root is missing when the
-    attack is impossible.  ``attack`` is the attack side from
-    :func:`_sides`, and the result lists labels in its order, children
-    first."""
-    shape: dict = {}
-    for label, kind, dag_kind, children in attack:
-        if not children:
-            shape[label] = (dag_kind, children)
-        elif kind is NodeKind.OR:
-            kids = [c for c in children if c in shape]
-            if kids:
-                shape[label] = (DagKind.OR, kids)
-        elif (kind is NodeKind.CAND or kind is NodeKind.SCAND
-              or kind is NodeKind.NODEF):
-            action, counter = children
-            nodef = kind is NodeKind.NODEF
-            if nodef and status[counter] == FAILED:
-                shape[label] = (DagKind.NULL, [])  # action unnecessary
-            elif action in shape and (nodef or status[counter] == FAILED):
-                shape[label] = (DagKind.NULL, [action])
-        elif all(c in shape for c in children):
-            shape[label] = (dag_kind, children)
-    return shape
+def _keep(entries: dict, key, statuses: tuple) -> None:
+    """Record that ``statuses`` produce ``key`` unless smaller ones do."""
+    known = entries.get(key)
+    if known is None or statuses < known:
+        entries[key] = statuses
 
 
 def apply_defence_config(adt: Adt, config: DefenceConfig) -> Dag:
@@ -441,11 +456,11 @@ def apply_defence_config(adt: Adt, config: DefenceConfig) -> Dag:
     Defence subtrees never enter the DAG; each resolved counter gate stays
     as a zero-duration join over its action, or over nothing.
     """
-    attack, defence, roots = _sides(adt)
-    shape = _resolve(_signature(defence, roots, config), attack)
-    if adt.root not in shape:
+    tree = _Tree(adt)
+    shape = tree.fixed(config)[1]
+    if not shape:
         return Dag()
-    return expand_sand(_build(adt, compute_time_unit(adt), shape, {}))
+    return expand_sand(_build(adt, tree.tunit, shape, {}))
 
 
 def canonical_form(dag: Dag) -> str:
@@ -487,70 +502,153 @@ class Variant:
 
 @dataclass
 class Case:
-    """All variants sharing one defence outcome; ``merged_signatures`` lists
-    the outcome signatures that turned out indistinguishable.  ``collapsed``
-    is true when ``variants`` keeps one representative per class of equally
-    shaped selections and left others out (see :func:`preprocess_cases`)."""
+    """All variants sharing one defence outcome.  ``merged_signatures``
+    lists every outcome signature that leaves the same variants, in the
+    order of :func:`enumerate_defence_variants`; it is worked out for all
+    cases of one :func:`preprocess_cases` call on its first read, since it
+    takes one pass per outcome.  ``collapsed`` is true when ``variants``
+    keeps one representative per class of equally shaped selections and
+    left others out (see :func:`preprocess_cases`)."""
 
     signature: dict
-    merged_signatures: list
     config: DefenceConfig
     variants: list
     collapsed: bool = False
+    _merge: object = field(default=None, repr=False, compare=False)
+    _merged: list | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def merged_signatures(self) -> list:
+        if self._merged is None:
+            self._merge()
+        return self._merged
 
 
 class _Tree:
     """What every defence outcome of one tree shares: the attack and
-    defence sides, the defence-subtree roots, the time unit, each node's
-    duration in unit steps, and one table of generated names for all of its
-    DAGs.  ``clash`` is true when a SAND ``s`` and a label ``s'`` both
-    exist, so that :func:`expand_sand` may reject some variants by their
-    names alone."""
+    defence sides, the defence-subtree roots in gate order and in block
+    order (see :func:`_block_order`), the resolved nodes met so far, the
+    time unit and each node's duration in unit steps.  ``clash`` is true
+    when a SAND ``s`` and a label ``s'`` both exist, so that
+    :func:`expand_sand` may reject some variants by their names alone."""
 
     def __init__(self, adt: Adt):
         self.adt = adt
         self.attack, self.defence, self.roots = _sides(adt)
-        self.tunit = compute_time_unit(adt)
-        self.weight = {label: node.duration // self.tunit
-                       for label, node in adt.nodes.items()}
-        self.names: dict = {}
+        self.blocks = _block_order(self.defence, self.roots)
+        self.nodes: list = []  # key -> (label, DagKind, children's keys)
+        self.keys: dict = {}
         self.clash = any(node.kind is NodeKind.SAND
                          and label + "'" in adt.nodes
                          for label, node in adt.nodes.items())
 
-    def outcome(self, config: DefenceConfig,
-                classes: bool = False) -> _Outcome:
-        """Resolve the tree under ``config`` and pick its OR selections,
-        with ``classes`` one per class (see :func:`_or_selections`)."""
+    @functools.cached_property
+    def tunit(self) -> int:
+        return compute_time_unit(self.adt)
+
+    @functools.cached_property
+    def weight(self) -> dict:
+        return {label: node.duration // self.tunit
+                for label, node in self.adt.nodes.items()}
+
+    def key(self, label: str, kind: DagKind, kids: tuple) -> int:
+        """Interned key of a resolved node: equal keys, equal subtrees.
+        Each label resolves to one kind only, so the lookup leaves the kind
+        out (hashing an Enum member runs Python code)."""
+        key = self.keys.get((label, kids))
+        if key is None:
+            key = self.keys[label, kids] = len(self.nodes)
+            self.nodes.append((label, kind, kids))
+        return key
+
+    def resolve(self, statuses: dict) -> dict:
+        """Every distinct resolved tree that the defence outcomes allowed by
+        ``statuses`` (defence root -> the statuses it may take) leave, as
+        its root's key, mapped to the smallest tuple of root statuses in
+        block order that leaves it; key None: the attack is impossible.
+
+        One pass over the attack side, children first, gives each node such
+        a map of its own.  A leaf has one entry.  A counter gate pairs each
+        entry of its action with each status of its countermeasure, and
+        appends that status: a CAND or SCAND needs a failed countermeasure
+        and a possible action, and a NODEF needs its action only while the
+        countermeasure operates.  AND and SAND combine their children left
+        to right, and an impossible child makes them impossible; an OR
+        keeps its possible children and is impossible without any.  Every
+        combination keeps the smaller tuple per resulting key, and tuples
+        compare FAILED first, since "failed" < "operating"."""
+        entries: dict = {}
+        key = self.key
+        for label, kind, dag_kind, children in self.attack:
+            if not children:
+                entries[label] = {key(label, dag_kind, ()): ()}
+                continue
+            out: dict = {}
+            if (kind is NodeKind.CAND or kind is NodeKind.SCAND
+                    or kind is NodeKind.NODEF):  # no Enum hash, as above
+                action, counter = children
+                nodef = kind is NodeKind.NODEF
+                for kept, done in entries.pop(action).items():
+                    for status in statuses[counter]:
+                        if nodef and status == FAILED:
+                            new = key(label, DagKind.NULL, ())
+                        elif kept is not None and (nodef or status == FAILED):
+                            new = key(label, DagKind.NULL, (kept,))
+                        else:
+                            new = None
+                        _keep(out, new, done + (status,))
+                entries[label] = out
+                continue
+            either = kind is NodeKind.OR
+            combos = {(): ()}  # children's keys so far, None: impossible
+            for child in children:
+                folded: dict = {}
+                for kept, more in entries.pop(child).items():
+                    for kids, done in combos.items():
+                        if kept is None:
+                            kids = kids if either else None
+                        elif kids is not None:
+                            kids += (kept,)
+                        _keep(folded, kids, done + more)
+                combos = folded
+            for kids, done in combos.items():
+                _keep(out, key(label, dag_kind, kids) if kids else None, done)
+            entries[label] = out
+        return entries[self.adt.root]
+
+    def shape(self, key) -> dict:
+        """label -> (DagKind, children) for the resolved tree ``key``,
+        children first; empty for None."""
+        order, stack = [], [] if key is None else [key]
+        while stack:
+            key = stack.pop()
+            order.append(key)
+            stack.extend(reversed(self.nodes[key][2]))
+        shape = {}
+        for key in reversed(order):
+            label, kind, kids = self.nodes[key]
+            shape[label] = (kind, [self.nodes[k][0] for k in kids])
+        return shape
+
+    def signature(self, statuses: tuple) -> dict:
+        """Root -> status, in gate order, for ``statuses`` in block
+        order."""
+        status = dict(zip(self.blocks, statuses))
+        return {root: status[root] for root in self.roots}
+
+    def fixed(self, config: DefenceConfig) -> tuple[dict, dict]:
+        """The signature of ``config`` and the tree it resolves to."""
         signature = _signature(self.defence, self.roots, config)
-        shape = _resolve(signature, self.attack)
-        return _Outcome(self, signature,
-                        *_or_selections(shape, self.adt.root, self.weight,
-                                        classes))
-
-
-@dataclass
-class _Outcome:
-    """One defence outcome, resolved and OR-walked but not built.
-    ``selections`` holds ``(or_choices, variant shape)`` per time-optimal
-    OR selection kept and is empty when the attack is impossible.
-    ``labels``, the tree nodes some time-optimal selection keeps, decides
-    the selections and so the variants: two outcomes of one tree leave the
-    same variants exactly when their ``labels`` agree.  ``collapsed`` tells
-    whether selections were left out as equally shaped."""
-
-    tree: _Tree
-    signature: dict
-    selections: list
-    labels: frozenset
-    collapsed: bool
+        [key] = self.resolve({root: (status,)
+                              for root, status in signature.items()})
+        return signature, self.shape(key)
 
 
 def _or_selections(shape: dict, root: str, weight: dict,
                    classes: bool = False) -> tuple[list, frozenset, bool]:
     """``(or_choices, variant shape)`` for every fastest combination of OR
     choices on the resolved tree ``shape`` (children first, as
-    :func:`_resolve` lists it; none if it lacks the root), in the order of
+    :meth:`_Tree.shape` lists it; none if it lacks the root), in the order of
     a depth-first search over the OR gates in preorder; with them the set
     of nodes that hold a budget (below), and whether ``classes`` left any
     selection out.
@@ -669,26 +767,35 @@ def enumerate_or_variants(adt: Adt, config: DefenceConfig) -> list[Variant]:
     fastest under ``config``, each with its own DAG built once
     from the resolved tree; distinct choices always leave distinct DAGs.
     An impossible attack gives the single infeasible variant."""
-    return _variants(config, _Tree(adt).outcome(config))
+    tree = _Tree(adt)
+    signature, shape = tree.fixed(config)
+    return _variants(tree, config, signature,
+                     _or_selections(shape, adt.root, tree.weight)[0], {})
 
 
-def _variants(config: DefenceConfig, outcome: _Outcome) -> list[Variant]:
-    """Build the variants of ``outcome``, the resolved and walked outcome
-    of ``config``."""
-    signature = outcome.signature
-    if not outcome.selections:
+def _variants(tree: _Tree, config: DefenceConfig, signature: dict,
+              selections: list, names: dict) -> list[Variant]:
+    """Build the variants of the ``selections`` that ``_or_selections``
+    found for the outcome of ``config``, taking generated names from the
+    table ``names`` (see :func:`_build`)."""
+    if not selections:
         return [Variant(config, signature, {}, Dag(), False)]
-    tree = outcome.tree
     return [Variant(config, signature, choices,
-                    expand_sand(_build(tree.adt, tree.tunit, shape,
-                                       tree.names)),
+                    expand_sand(_build(tree.adt, tree.tunit, shape, names)),
                     True)
-            for choices, shape in outcome.selections]
+            for choices, shape in selections]
 
 
 def preprocess_cases(adt: Adt, all_variants: bool = True) -> list[Case]:
     """Full pipeline, grouped by defence outcome.  Outcomes that leave the
     same variants are merged into one case before any DAG is built.
+
+    :meth:`_Tree.resolve` finds each distinct resolved tree once, with the
+    first outcome that leaves it.  Each of them is walked by
+    :func:`_or_selections`; those that keep the same tree nodes leave the
+    same variants and form one case, whose outcome is the first of them.
+    Cases come in the order of their outcomes, and their representative
+    configurations are those :func:`enumerate_defence_variants` lists.
 
     With ``all_variants`` false a case keeps one variant per class of
     selections that differ only in labels (see :func:`_or_selections`),
@@ -701,20 +808,41 @@ def preprocess_cases(adt: Adt, all_variants: bool = True) -> list[Case]:
         raise ValueError("invalid tree: %s" % problems[0].message)
     tree = _Tree(adt)
     classes = not all_variants and not tree.clash
+    found = tree.resolve({root: (FAILED, OPERATING) for root in tree.roots})
     cases: list[Case] = []
     by_labels: dict = {}
-    for config in enumerate_defence_variants(adt):
-        outcome = tree.outcome(config, classes)
-        known = by_labels.get(outcome.labels)
-        if known is not None:
-            known.merged_signatures.append(outcome.signature)
-            continue
-        variants = _variants(config, outcome)
-        case = Case(outcome.signature, [outcome.signature], config, variants,
-                    outcome.collapsed)
-        cases.append(case)
-        by_labels[outcome.labels] = case
+    by_key: dict = {}  # every distinct resolved tree -> its case
+    names: dict = {}
+    merge = functools.partial(_merge_signatures, tree, by_key)
+    for key, statuses in sorted(found.items(), key=lambda item: item[1]):
+        selections, labels, collapsed = _or_selections(
+            tree.shape(key), adt.root, tree.weight, classes)
+        case = by_labels.get(labels)
+        if case is None:
+            config = _config(adt, tree.blocks, statuses)
+            signature = tree.signature(statuses)
+            case = Case(signature, config,
+                        _variants(tree, config, signature, selections,
+                                  names),
+                        collapsed, merge)
+            cases.append(case)
+            by_labels[labels] = case
+        by_key[key] = case
     return cases
+
+
+def _merge_signatures(tree: _Tree, by_key: dict) -> None:
+    """Fill ``merged_signatures`` of the cases in ``by_key`` (the key of
+    each distinct resolved tree -> its case): every outcome, in the order
+    of :func:`enumerate_defence_variants`, resolved on its own and added to
+    the case of the tree it leaves."""
+    for case in by_key.values():
+        case._merged = []
+    for statuses in itertools.product((FAILED, OPERATING),
+                                      repeat=len(tree.blocks)):
+        [key] = tree.resolve({root: (status,) for root, status
+                              in zip(tree.blocks, statuses)})
+        by_key[key]._merged.append(tree.signature(statuses))
 
 
 def preprocess(adt: Adt) -> list[Variant]:

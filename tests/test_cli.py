@@ -151,6 +151,57 @@ def test_or_walk_needs_no_recursion_per_gate(tmp_path):
     assert out[1].endswith(" n=300 slots=1 bounds (299,300]")
 
 
+def deep_chains(tmp_path):
+    """A counter gate over a 1,000-deep defence chain, and a 300-deep
+    chain of counter gates."""
+    lines = ["r: CAND(a, d0)", "a: ATTACK time=1"]
+    for i in range(1000):
+        lines.append("d%d: OR(e%d, d%d)" % (i, i, i + 1) if i % 2 else
+                     "d%d: AND(d%d, e%d)" % (i, i + 1, i))
+        lines.append("e%d: DEFENCE time=1" % i)
+    lines.append("d1000: DEFENCE time=1")
+    defences = tmp_path / "defence-chain.adt"
+    defences.write_text("\n".join(lines) + "\n")
+    lines = ["c%d: %s(c%d, d%d)" % (i, ("CAND", "SCAND")[i % 2], i + 1, i)
+             for i in range(300)]
+    lines += ["d%d: DEFENCE time=1" % i for i in range(300)]
+    lines.append("c300: ATTACK time=1")
+    counters = tmp_path / "counter-chain.adt"
+    counters.write_text("\n".join(lines) + "\n")
+    return str(defences), str(counters)
+
+
+def test_defence_resolution_needs_no_recursion_per_node(tmp_path):
+    script = ("import json, sys\n"
+              "from adtsched import cli, enumerate_defence_variants, "
+              "parse_adt\n"
+              "sys.setrecursionlimit(150)\n"
+              "defences, counters = sys.argv[1:]\n"
+              "with open(defences) as tree:\n"
+              "    configs = enumerate_defence_variants(parse_adt(tree.read()))\n"
+              "print(len(configs), sum(s == 'operating'\n"
+              "                        for s in configs[1].values()))\n"
+              "sys.exit(cli.main(['variants', defences])\n"
+              "         or cli.main(['schedule', counters, '--json']))\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script,
+                           *deep_chains(tmp_path)],
+                          capture_output=True, text=True, env=env,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    counts, case1, _, case2, _, report = done.stdout.split("\n", 5)
+    # the operating block of the chain: every AND child, an OR's last one
+    assert counts == "2 501"
+    assert case1 == "case 1: d0 FAILED"
+    assert case2 == "case 2: d0 OPERATING"
+    results = json.loads(report)["variants"]
+    assert [r["feasible"] for r in results] == [True, False]
+    assert results[0]["slots"] == 1
+
+
 def test_name_collision_across_or_branches_is_no_error(capsys, tmp_path):
     # s's SAND joints and the steps of the label s' share the names s'_1
     # and s'_2, but the two branches of r never meet in one variant

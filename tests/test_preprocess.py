@@ -1,6 +1,7 @@
 """Pipeline stages: time normalisation, sequence expansion, defence
 resolution, choice enumeration."""
 
+import importlib
 import random
 
 import pytest
@@ -390,8 +391,10 @@ def test_outcomes_merge_by_the_nodes_their_selections_keep():
         tree = _Tree(adt)
         by_labels, by_origins = [], []
         for config in enumerate_defence_variants(adt):
-            labels = tree.outcome(config).labels
-            assert tree.outcome(config, classes=True).labels == labels
+            shape = tree.fixed(config)[1]
+            labels = _or_selections(shape, adt.root, tree.weight)[1]
+            assert _or_selections(shape, adt.root, tree.weight,
+                                  classes=True)[1] == labels
             by_labels.append(labels)
             by_origins.append(frozenset(
                 frozenset(x.origin for x in v.dag.nodes)
@@ -399,6 +402,90 @@ def test_outcomes_merge_by_the_nodes_their_selections_keep():
         assert first_of_each(by_labels) == first_of_each(by_origins)
         merged += len(by_labels) - len(set(by_labels))
     assert merged > 100  # the rule is exercised, not vacuous
+
+
+# the package exports a function named preprocess over the module's name
+preprocess_module = importlib.import_module("adtsched.preprocess")
+
+
+def counter_fan(gate, k, top="AND"):
+    """A ``top`` gate over k ``gate`` counter gates, each over an attack
+    leaf and a defence leaf."""
+    lines = ["r: %s(%s)" % (top, ", ".join("c%d" % i for i in range(k)))]
+    for i in range(k):
+        lines += ["c%d: %s(a%d, d%d)" % (i, gate, i, i),
+                  "a%d: ATTACK time=1" % i, "d%d: DEFENCE time=1" % i]
+    return parse_adt("\n".join(lines) + "\n")
+
+
+@pytest.fixture
+def walked(monkeypatch):
+    """Counts ``_or_selections`` calls; forbids working out merged
+    signatures."""
+    calls = []
+
+    def counting(*args, walk=preprocess_module._or_selections):
+        calls.append(args)
+        return walk(*args)
+
+    def unread(*args):
+        raise AssertionError("merged signatures worked out")
+
+    monkeypatch.setattr(preprocess_module, "_or_selections", counting)
+    monkeypatch.setattr(preprocess_module, "_merge_signatures", unread)
+    return calls
+
+
+@pytest.mark.parametrize("gate", ["CAND", "SCAND"])
+@pytest.mark.parametrize("k", [10, 30])
+def test_counter_fan_walks_two_outcomes(walked, gate, k):
+    # 2^k defence outcomes, but every operating defence kills the root
+    cases = preprocess_cases(counter_fan(gate, k), all_variants=False)
+    assert len(walked) == 2
+    assert [c.signature for c in cases] == [
+        {"d%d" % i: FAILED for i in range(k)},
+        {"d%d" % i: OPERATING if i == k - 1 else FAILED for i in range(k)}]
+    assert [len(c.config) for c in cases] == [k, k]
+    assert [v.feasible for c in cases for v in c.variants] == [True, False]
+
+
+def test_nodef_fan_walks_each_outcome_once(walked):
+    # each NODEF outcome leaves its own work: 2^k cases, one walk each
+    cases = preprocess_cases(counter_fan("NODEF", 10), all_variants=False)
+    assert len(cases) == len(walked) == 2 ** 10
+    assert {c.variants[0].dag.n for c in cases} == set(range(11))
+
+
+def test_or_of_counters_keeps_every_outcome():
+    k = 6
+    cases = preprocess_cases(counter_fan("CAND", k, top="OR"))
+    live = [c for c in cases if c.variants[0].feasible]
+    assert len(live) == 2 ** k - 1
+    assert len(cases) == 2 ** k
+    assert all(len(c.merged_signatures) == 1 for c in cases)
+
+
+@pytest.mark.parametrize("top", ["AND", "OR"])
+def test_defence_variants_come_from_root_statuses(monkeypatch, top):
+    # one root over 16 defence leaves: 2 outcomes, not 2^16 evaluations
+    evaluations = []
+
+    def counting(*args, evaluate=preprocess_module._signature):
+        evaluations.append(args)
+        return evaluate(*args)
+
+    monkeypatch.setattr(preprocess_module, "_signature", counting)
+    leaves = ["e%d" % i for i in range(16)]
+    adt = parse_adt("r: CAND(a, d)\na: ATTACK time=1\nd: %s(%s)\n"
+                    % (top, ", ".join(leaves))
+                    + "".join("%s: DEFENCE time=1\n" % x for x in leaves))
+    configs = enumerate_defence_variants(adt)
+    assert len(evaluations) <= 2
+    operating = ({x: OPERATING for x in leaves} if top == "AND" else
+                 {x: OPERATING if x == "e15" else FAILED for x in leaves})
+    assert configs == [{x: FAILED for x in leaves}, operating]
+    assert [defence_signature(adt, c) for c in configs] \
+        == [{"d": FAILED}, {"d": OPERATING}]
 
 
 # ------------------------------------------------------------- shape classes
