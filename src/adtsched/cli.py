@@ -24,7 +24,6 @@ from .generator import InvalidParams, generate_scaling_adt, run_scalability
 from .model import validate_adt
 from .parser import ParseError, export_dot, parse_adt, serialize_adt
 from .preprocess import (
-    enumerate_or_variants,
     expand_sand,
     normalize_time,
     preprocess,
@@ -113,12 +112,11 @@ def _load(path: str):
     return adt
 
 
-def _select_results(cases, results_by_id, all_variants):
-    """Default: per case the fewest-agents feasible variant (first on a
-    tie); --all-or-variants keeps everything."""
+def _select_results(per_case, all_variants):
+    """Default: per case (its results, in order) the fewest-agents feasible
+    variant (first on a tie); --all-or-variants keeps everything."""
     selected = []
-    for case in cases:
-        rs = [results_by_id[id(v)] for v in case.variants]
+    for rs in per_case:
         if all_variants or len(rs) == 1:
             selected.extend(rs)
             continue
@@ -135,19 +133,9 @@ def cmd_schedule(ns) -> int:
     if adt is None:
         return 2
     cases = preprocess_cases(adt, all_variants=ns.all_or_variants)
-    flat = [v for case in cases for v in case.variants]
-    results = min_schedule(flat, slots_override=ns.slots_override)
-    results_by_id = {id(r.variant): r for r in results}
-    for case in cases:
-        # a representative stands for its class only when its count is
-        # proven minimal; otherwise a skipped member might need fewer
-        if case.collapsed and not all(results_by_id[id(v)].certified
-                                      for v in case.variants):
-            case.variants = enumerate_or_variants(adt, case.config)
-            full = min_schedule(case.variants,
-                                slots_override=ns.slots_override)
-            results_by_id.update((id(r.variant), r) for r in full)
-    selected = _select_results(cases, results_by_id, ns.all_or_variants)
+    per_case = [min_schedule(case.variants, slots_override=ns.slots_override)
+                for case in cases]
+    selected = _select_results(per_case, ns.all_or_variants)
     if ns.json:
         sys.stdout.write(to_json(selected, adt))
         return 0

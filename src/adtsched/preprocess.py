@@ -16,7 +16,7 @@ subtrees, then
    choices that finishes the attack fastest, in three passes
    (:func:`_or_selections`), and merges trees that keep the same tree
    nodes into one case; on request it keeps one selection per class of
-   equally shaped ones,
+   selections whose DAGs match node for node, up to labels,
 3. builds each case's variants once: every timed node becomes a chain of
    unit steps above a zero-duration remnant, and :func:`expand_sand`
    rewrites ordered conjunctions into cross-links.
@@ -506,14 +506,11 @@ class Case:
     lists every outcome signature that leaves the same variants, in the
     order of :func:`enumerate_defence_variants`; it is worked out for all
     cases of one :func:`preprocess_cases` call on its first read, since it
-    takes one pass per outcome.  ``collapsed`` is true when ``variants``
-    keeps one representative per class of equally shaped selections and
-    left others out (see :func:`preprocess_cases`)."""
+    takes one pass per outcome."""
 
     signature: dict
     config: DefenceConfig
     variants: list
-    collapsed: bool = False
     _merge: object = field(default=None, repr=False, compare=False)
     _merged: list | None = field(default=None, repr=False, compare=False)
 
@@ -645,13 +642,12 @@ class _Tree:
 
 
 def _or_selections(shape: dict, root: str, weight: dict,
-                   classes: bool = False) -> tuple[list, frozenset, bool]:
+                   classes: bool = False) -> tuple[list, frozenset]:
     """``(or_choices, variant shape)`` for every fastest combination of OR
     choices on the resolved tree ``shape`` (children first, as
     :meth:`_Tree.shape` lists it; none if it lacks the root), in the order of
     a depth-first search over the OR gates in preorder; with them the set
-    of nodes that hold a budget (below), and whether ``classes`` left any
-    selection out.
+    of nodes that hold a budget (below).
 
     A node's time is its ``weight`` plus the maximum of its children's (AND
     and counter gates), their sum (SAND) or its chosen child's (OR).  One
@@ -671,15 +667,17 @@ def _or_selections(shape: dict, root: str, weight: dict,
     from the root, each chosen OR keeping only its chosen child.
 
     With ``classes`` the third pass also keys each budgeted node by its
-    kind, its weight and its children's keys, sorted except under a SAND,
-    an OR counting its entered children only (the encoding of Aho, Hopcroft
-    and Ullman).  Nodes with equal keys root the same selections up to
-    labels, so an OR enters only the first of its children with each key,
-    and each selection left stands for the ones it skipped, which come
-    later in the full order and differ from it only in labels.
+    kind, its weight and its children's keys in their own order, an OR
+    counting its budgeted children only (the encoding of Aho, Hopcroft and
+    Ullman, without its sort).  Nodes with equal keys root the same
+    selections up to labels, in the same order, so an OR enters only the
+    first of its children with each key.  Each selection left stands for
+    the ones it skipped, which come later in the full order: their DAGs
+    match its DAG node for node, creation order included, so the scheduler
+    breaks every tie alike and gives them all its result.
     """
     if root not in shape:
-        return [], frozenset(), False
+        return [], frozenset()
     fastest: dict = {}
     for label in shape:
         kind, kids = shape[label]
@@ -706,7 +704,6 @@ def _or_selections(shape: dict, root: str, weight: dict,
     picks: dict = {}
     keys: dict = {}
     interned: dict = {}
-    collapsed = False
     for label in shape:
         if label not in budget:
             continue
@@ -719,7 +716,6 @@ def _or_selections(shape: dict, root: str, weight: dict,
                 for child in kids:
                     first.setdefault(keys[child], child)
                 entered = list(first.values())
-                collapsed = collapsed or len(entered) < len(kids)
             partial = [(t, (label, child, chosen))
                        for child in entered
                        for t, chosen in picks[child]]
@@ -735,11 +731,9 @@ def _or_selections(shape: dict, root: str, weight: dict,
                            if not sand or t + u <= room]
         picks[label] = [(t + weight[label], chosen) for t, chosen in partial]
         if classes:
-            child_keys = [keys[c] for c in kids]
-            if kind is not DagKind.SAND:
-                child_keys.sort()
             keys[label] = interned.setdefault(
-                (kind, weight[label], tuple(child_keys)), len(interned))
+                (kind, weight[label], tuple(keys[c] for c in kids)),
+                len(interned))
 
     out = []
     for _, chosen in picks[root]:
@@ -759,7 +753,7 @@ def _or_selections(shape: dict, root: str, weight: dict,
             variant[label] = entry
             stack.extend(entry[1])
         out.append((choices, variant))
-    return out, frozenset(budget), collapsed
+    return out, frozenset(budget)
 
 
 def enumerate_or_variants(adt: Adt, config: DefenceConfig) -> list[Variant]:
@@ -798,10 +792,11 @@ def preprocess_cases(adt: Adt, all_variants: bool = True) -> list[Case]:
     configurations are those :func:`enumerate_defence_variants` lists.
 
     With ``all_variants`` false a case keeps one variant per class of
-    selections that differ only in labels (see :func:`_or_selections`),
-    the first of each in the full order, and says so in ``collapsed``;
-    :func:`enumerate_or_variants` on its ``config`` lists them all.  Trees
-    whose generated names may clash (see :class:`_Tree`) are never
+    selections whose DAGs differ only in labels (see
+    :func:`_or_selections`), the first of each in the full order.  Each
+    skipped variant would be scheduled exactly as its representative, so
+    the first fewest-agents variant of the full list is among those kept.
+    Trees whose generated names may clash (see :class:`_Tree`) are never
     collapsed, so each variant is built as in the full list."""
     problems = validate_adt(adt)
     if problems:
@@ -815,7 +810,7 @@ def preprocess_cases(adt: Adt, all_variants: bool = True) -> list[Case]:
     names: dict = {}
     merge = functools.partial(_merge_signatures, tree, by_key)
     for key, statuses in sorted(found.items(), key=lambda item: item[1]):
-        selections, labels, collapsed = _or_selections(
+        selections, labels = _or_selections(
             tree.shape(key), adt.root, tree.weight, classes)
         case = by_labels.get(labels)
         if case is None:
@@ -824,7 +819,7 @@ def preprocess_cases(adt: Adt, all_variants: bool = True) -> list[Case]:
             case = Case(signature, config,
                         _variants(tree, config, signature, selections,
                                   names),
-                        collapsed, merge)
+                        merge)
             cases.append(case)
             by_labels[labels] = case
         by_key[key] = case

@@ -231,7 +231,8 @@ class ScheduleResult:
     @property
     def certified(self) -> bool:
         """``agents`` is proven minimal: there is nothing to schedule, or
-        the pigeonhole bound rules out one agent fewer."""
+        the pigeonhole bound rules out one agent fewer.  Reported for the
+        reader; no step of the pipeline depends on it."""
         return self.bounds is None or self.agents == self.bounds.lower + 1
 
 

@@ -66,7 +66,7 @@ def reference_resolve(status, attack):
 
 def reference_cases(adt, all_variants=True):
     """The cases of ``adt`` as dicts with ``signature``,
-    ``merged_signatures``, ``config``, ``collapsed`` and ``variants``, a
+    ``merged_signatures``, ``config`` and ``variants``, a
     list of ``(or_choices, DAG node names)``; an impossible attack has the
     single variant ``({}, [])``."""
     attack, defence, roots = _sides(adt)
@@ -80,7 +80,7 @@ def reference_cases(adt, all_variants=True):
     for config in reference_defence_variants(adt):
         signature = _signature(defence, roots, config)
         shape = reference_resolve(signature, attack)
-        selections, labels, collapsed = _or_selections(
+        selections, labels = _or_selections(
             shape, adt.root, weight, classes)
         known = by_labels.get(labels)
         if known is not None:
@@ -90,8 +90,7 @@ def reference_cases(adt, all_variants=True):
                         _build(adt, tunit, variant, names)).nodes])
                     for choices, variant in selections] or [({}, [])]
         case = {"signature": signature, "merged_signatures": [signature],
-                "config": config, "collapsed": collapsed,
-                "variants": variants}
+                "config": config, "variants": variants}
         cases.append(case)
         by_labels[labels] = case
     return cases

@@ -2,9 +2,9 @@
 replaced (``reference_cases.py``).
 
 On every tree, in both modes, both must find the same cases in the same
-order, each with the same signature, merged signatures (in order),
-representative configuration and ``collapsed`` flag, and the same variants
-with the same OR choices and DAG node names.  The trees include ones where
+order, each with the same signature, merged signatures (in order) and
+representative configuration, and the same variants with the same OR
+choices and DAG node names.  The trees include ones where
 a counter gate sits inside another's action, so that the gate order of the
 defence roots differs from the order of their leaf blocks.
 """
@@ -29,7 +29,6 @@ def program_cases(adt, all_variants):
     return [{"signature": case.signature,
              "merged_signatures": case.merged_signatures,
              "config": case.config,
-             "collapsed": case.collapsed,
              "variants": [(v.or_choices, [x.name for x in v.dag.nodes])
                           for v in case.variants]}
             for case in preprocess_cases(adt, all_variants)]

@@ -250,36 +250,42 @@ def test_default_schedule_schedules_one_variant_of_an_or_fan(
     assert len(json.loads(out)["variants"]) == 4096
 
 
-def test_uncertified_classes_are_scheduled_in_full(
+def test_one_variant_per_class_schedules_as_the_full_list(
         capsys, monkeypatch, tmp_path):
+    # a class member's DAG matches its representative's node for node, so
+    # scheduling every selection must print the same bytes
     paths = [str(path) for path in sorted(TREES.glob("*.adt"))]
-    fan = tmp_path / "or-fan.adt"
-    fan.write_text(or_fan_text(6))
-    paths.append(str(fan))
+    for name, text in (
+            ("or-fan", or_fan_text(6)),
+            ("and-order", "r: OR(x, y)\nx: AND(a, b)\ny: AND(d, c)\n"
+                          "a: ATTACK time=1\nb: ATTACK time=2\n"
+                          "c: ATTACK time=1\nd: ATTACK time=2\n")):
+        (tmp_path / (name + ".adt")).write_text(text)
+        paths.append(str(tmp_path / (name + ".adt")))
     for seed in range(100):
         path = tmp_path / ("random-%d.adt" % seed)
         path.write_text(serialize_adt(random_adt(
             random.Random(seed), max_leaves=12, max_time=3,
             defence_prob=0.4)))
         paths.append(str(path))
-    argvs = [("schedule", path) + flags
-             for path in paths for flags in ((), ("--json",))]
+    argvs = [("schedule", path) + flags for path in paths
+             for flags in ((), ("--json",), ("--slots-override", "9",
+                                             "--json"))]
     expected = [run(capsys, *argv) for argv in argvs]
-    monkeypatch.setattr(scheduler.ScheduleResult, "certified",
-                        property(lambda self: False))
-    rebuilt = []
+    skipped = []
 
-    def counting(adt, config, enumerate_or_variants=cli.enumerate_or_variants):
-        rebuilt.append(adt.root)
-        return enumerate_or_variants(adt, config)
+    def full(adt, all_variants=True, preprocess_cases=cli.preprocess_cases):
+        cases = preprocess_cases(adt)
+        skipped.append(sum(len(case.variants) for case in cases) - sum(
+            len(case.variants) for case in preprocess_cases(adt, False)))
+        return cases
 
-    monkeypatch.setattr(cli, "enumerate_or_variants", counting)
+    monkeypatch.setattr(cli, "preprocess_cases", full)
     for argv, before in zip(argvs, expected):
-        calls = len(rebuilt)
         assert run(capsys, *argv) == before, argv
-        if argv[1] == str(fan):
-            assert len(rebuilt) == calls + 1
-    assert len(rebuilt) > 2  # some random trees fall back too
+    assert len(skipped) == len(argvs)
+    # the fan skips variants under all three flags, and so do other trees
+    assert sum(1 for n in skipped if n) > 3
 
 
 def test_name_clash_in_a_skipped_branch_is_still_an_error(capsys, tmp_path):

@@ -340,7 +340,7 @@ def test_or_walk_work_grows_linearly():
     lookups = []
     for k in (300, 1200):
         shape, weight = or_fan_shape(k)
-        [(choices, variant)], _, _ = _or_selections(shape, "r", weight)
+        [(choices, variant)], _ = _or_selections(shape, "r", weight)
         assert choices == {"o%d" % i: "a%d" % i for i in range(k)}
         assert len(variant) == 2 * k + 1
         lookups.append(shape.lookups)
@@ -496,7 +496,6 @@ def walks(text):
     adt = parse_adt(text)
     [by_class] = preprocess_cases(adt, all_variants=False)
     [full] = preprocess_cases(adt)
-    assert not full.collapsed
     assert by_class.variants[0].or_choices == full.variants[0].or_choices
     return by_class, full
 
@@ -505,12 +504,18 @@ def leaves(**times):
     return "".join("%s: ATTACK time=%d\n" % kv for kv in times.items())
 
 
-def test_and_child_order_does_not_split_a_class():
+def test_and_child_order_splits_a_class():
+    # the packer breaks ties by creation order, so AND(1, 2) and AND(2, 1)
+    # are different DAGs to it
     by_class, full = walks("r: OR(x, y)\nx: AND(a, b)\ny: AND(c, d)\n"
                            + leaves(a=1, b=2, c=2, d=1))
-    assert len(full.variants) == 2
+    assert [v.or_choices for v in by_class.variants] \
+        == [v.or_choices for v in full.variants] == [{"r": "x"}, {"r": "y"}]
+    assert len(by_class.variants) == len(full.variants)
+    by_class, full = walks("r: OR(x, y)\nx: AND(a, b)\ny: AND(c, d)\n"
+                           + leaves(a=1, b=2, c=1, d=2))
     assert [v.or_choices for v in by_class.variants] == [{"r": "x"}]
-    assert by_class.collapsed
+    assert len(by_class.variants) < len(full.variants) == 2
 
 
 def test_sand_child_order_splits_a_class():
@@ -518,7 +523,7 @@ def test_sand_child_order_splits_a_class():
                            + leaves(a=1, b=2, c=2, d=1))
     assert [v.or_choices for v in by_class.variants] \
         == [v.or_choices for v in full.variants] == [{"r": "x"}, {"r": "y"}]
-    assert not by_class.collapsed
+    assert len(by_class.variants) == len(full.variants)
 
 
 def test_different_weights_split_a_class():
@@ -527,17 +532,17 @@ def test_different_weights_split_a_class():
                            + leaves(a=1, b=2, c=2, d=2))
     assert [v.or_choices for v in by_class.variants] \
         == [v.or_choices for v in full.variants] == [{"r": "x"}, {"r": "y"}]
-    assert not by_class.collapsed
+    assert len(by_class.variants) == len(full.variants)
 
 
 def test_equal_branches_with_nested_ors_form_one_class():
-    by_class, full = walks("r: OR(x, y)\nx: AND(p, a)\ny: AND(d, q)\n"
+    by_class, full = walks("r: OR(x, y)\nx: AND(p, a)\ny: AND(q, d)\n"
                            "p: OR(e, f)\nq: OR(g, h)\n"
                            + leaves(a=1, d=1, e=1, f=1, g=1, h=1))
     assert len(full.variants) == 4
     assert [v.or_choices for v in by_class.variants] \
         == [{"r": "x", "p": "e"}]
-    assert by_class.collapsed
+    assert len(by_class.variants) < len(full.variants)
 
 
 # ------------------------------------------------------------ canonical form

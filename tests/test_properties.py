@@ -196,6 +196,44 @@ def test_every_schedule_verifies_clean():
                     assert verify_schedule(r.variant.dag) == []
 
 
+def dag_shape(dag):
+    """The DAG up to labels: each node's index, kind and children's
+    indices, in creation order."""
+    nodes = tuple((x.index, x.kind, tuple(c.index for c in x.children))
+                  for x in dag.nodes)
+    return dag.root.index, nodes
+
+
+def schedules(results):
+    """The distinct schedules in ``results``, up to labels."""
+    return {(r.slots, r.agents, tuple(sorted(
+        (x.index, agent, slot) for x, (agent, slot) in r.assignment.items())))
+            for r in results}
+
+
+def test_equal_shaped_variants_get_equal_schedules():
+    # what lets the default ``schedule`` keep one variant per class
+    groups = 0
+    for seed in range(3000):
+        adt = random_adt(random.Random(seed), max_leaves=12, max_time=3,
+                         defence_prob=0.2)
+        for case in preprocess_cases(adt):
+            by_shape = {}
+            for v in case.variants:
+                if v.feasible and v.dag.n:
+                    by_shape.setdefault(dag_shape(v.dag), []).append(v)
+            for members in by_shape.values():
+                if len(members) < 2:
+                    continue
+                groups += 1
+                tight = min_schedule(members)
+                relaxed = min_schedule(members,
+                                       slots_override=tight[0].slots + 2)
+                assert len(schedules(tight)) == 1, seed
+                assert len(schedules(relaxed)) == 1, seed
+    assert groups > 100
+
+
 def test_agents_are_contiguous_from_one():
     for adt in forest(30):
         for r in min_schedule(preprocess_cases(adt)[0].variants):
