@@ -27,36 +27,29 @@ def variant_cost(result: ScheduleResult, adt: Adt) -> int:
     return sum(adt.nodes[o].cost for o in origins if o in adt.nodes)
 
 
-def _rows(result: ScheduleResult, cells: dict):
-    rows = []
-    for slot in range(result.slots, 0, -1):
-        row = []
-        for agent in range(1, result.agents + 1):
-            names = sorted(x.name for x in cells.get((slot, agent), []))
-            row.append(", ".join(names))
-        rows.append((slot, row))
-    return rows
+def _cell_text(nodes) -> str:
+    if nodes is None:
+        return ""
+    if len(nodes) == 1:
+        return nodes[0].name
+    return ", ".join(sorted(x.name for x in nodes))
 
 
-def _chain_signatures(result: ScheduleResult, cells: dict):
-    """Per-slot tuple of per-agent origins for rows that hold nothing but
-    one unit step per busy agent; None where any cell breaks the pattern."""
-    signatures = {}
-    for slot in range(result.slots, 0, -1):
-        sig = []
-        nonempty = 0
-        for agent in range(1, result.agents + 1):
-            nodes = cells.get((slot, agent), [])
-            if not nodes:
-                sig.append(None)
-                continue
-            if len(nodes) != 1 or nodes[0].kind is not DagKind.SEQ:
-                sig = None
-                break
+def _chain_signature(cells):
+    """Per-agent origins of a row that holds nothing but one unit step per
+    busy agent; None for an empty row or where any cell breaks the
+    pattern."""
+    sig = []
+    busy = False
+    for nodes in cells:
+        if nodes is None:
+            sig.append(None)
+        elif len(nodes) == 1 and nodes[0].kind is DagKind.SEQ:
             sig.append(nodes[0].origin)
-            nonempty += 1
-        signatures[slot] = tuple(sig) if sig and nonempty else None
-    return signatures
+            busy = True
+        else:
+            return None
+    return tuple(sig) if busy else None
 
 
 def render_table(result: ScheduleResult, elide: bool = False) -> str:
@@ -65,13 +58,19 @@ def render_table(result: ScheduleResult, elide: bool = False) -> str:
     An infeasible variant renders as its banner instead."""
     if not result.feasible:
         return "attack impossible\n"
-    cells: dict[tuple, list] = {}  # (slot, agent) -> nodes
+    # grid[slot][agent - 1]: the nodes in that cell, None when it is empty
+    grid = [[None] * result.agents for _ in range(result.slots + 1)]
     for node, (agent, slot) in result.assignment.items():
-        cells.setdefault((slot, agent), []).append(node)
-    rows = _rows(result, cells)
+        cell = grid[slot][agent - 1]
+        if cell is None:
+            grid[slot][agent - 1] = [node]
+        else:
+            cell.append(node)
+    slots = range(result.slots, 0, -1)
+    rows = [(slot, [_cell_text(nodes) for nodes in grid[slot]])
+            for slot in slots]
     if elide:
-        by_slot = _chain_signatures(result, cells)
-        signatures = [by_slot[slot] for slot, _ in rows]
+        signatures = [_chain_signature(grid[slot]) for slot in slots]
         kept = []
         i = 0
         while i < len(rows):
@@ -90,17 +89,16 @@ def render_table(result: ScheduleResult, elide: bool = False) -> str:
         rows = kept
     header = ["slot/agent"] + [str(a) for a in range(1, result.agents + 1)]
     widths = [len(h) for h in header]
+    # the first row is the latest slot, which has the longest label
+    widths[0] = max(widths[0], len(str(result.slots)))
+    for k, column in enumerate(zip(*(row for _, row in rows)), start=1):
+        widths[k] = max(widths[k], max(map(len, column)))
+    line = " | ".join(["{:>%d}" % widths[0]]
+                      + ["{:<%d}" % w for w in widths[1:]]).format
+    lines = [line(*header).rstrip()]
     for slot, row in rows:
-        widths[0] = max(widths[0], len(str(slot) if slot else ELLIPSIS))
-        for k, cell in enumerate(row):
-            widths[k + 1] = max(widths[k + 1], len(cell))
-    lines = [" | ".join(h.ljust(widths[k]) for k, h in enumerate(header))
-             .rstrip()]
-    for slot, row in rows:
-        label = str(slot) if slot is not None else ELLIPSIS
-        parts = [label.rjust(widths[0])]
-        parts += [cell.ljust(widths[k + 1]) for k, cell in enumerate(row)]
-        lines.append(" | ".join(parts).rstrip())
+        lines.append(line(ELLIPSIS if slot is None else str(slot),
+                          *row).rstrip())
     return "\n".join(lines) + "\n"
 
 
