@@ -5,8 +5,9 @@ is the total completion time L, a node assigned slot s runs during step s,
 and every node must sit in a strictly higher slot than each of the unit
 steps below it.  The scheduler fills slots greedily from the root down,
 highest level first (Hu 1961): a heap holds the unit steps whose ancestors
-are all placed, deepest first.  It bisects on the number of agents between
-a counting lower bound and the width of the level structure.  Every probe
+are all placed, deepest first.  The search for the number of agents probes
+the pigeonhole bound first, which ends it wherever that count fits, and
+otherwise bisects up to the width of the level structure.  Every probe
 builds its own start state from the root.  Once the agent count is found,
 zero-duration nodes take the cell of a neighbouring unit step, in one
 bottom-up and one top-down pass.
@@ -14,6 +15,7 @@ bottom-up and one top-down pass.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 
@@ -43,9 +45,10 @@ class Bounds:
 
 
 def compute_bounds(dag: Dag, slots_override: int | None = None) -> Bounds:
-    """Agent-count bracket for the bisection.  ``lower`` is the pigeonhole
-    bound (fewer agents cannot fit n unit steps into the slots), ``upper``
-    the maximum number of unit steps sharing a level, which always succeeds.
+    """Agent-count bracket for the search.  ``lower`` is the pigeonhole
+    bound (this many agents cannot fit n unit steps into the slots), so
+    ``lower + 1`` is the first count probed; ``upper`` is the maximum number
+    of unit steps sharing a level, which always succeeds.
 
     Fills in every node's ``depth`` bottom-up, its earliest completion time
     (unit steps add 1, joins wait for all children, an OR needs only its
@@ -237,12 +240,15 @@ class ScheduleResult:
 
 
 def _min_agents(dag: Dag, bounds: Bounds) -> int:
-    """Bisect for the fewest agents the packer fits into ``bounds.slots``;
-    the node fields are left holding that assignment."""
+    """The fewest agents the packer fits into ``bounds.slots``; the node
+    fields are left holding that assignment.  The first probe runs at the
+    pigeonhole bound ``lower + 1``: when it fits, no smaller count can, and
+    the search ends there.  Otherwise it bisects over ``(lower + 1,
+    upper]``."""
     lower, upper = bounds.lower, bounds.upper
+    agents = lower + 1
     last = None
     while upper - lower > 1:
-        agents = lower + (upper - lower) // 2
         _, remaining = schedule_candidate(dag, bounds.slots, agents)
         ok = remaining == 0
         last = (agents, ok)
@@ -250,6 +256,7 @@ def _min_agents(dag: Dag, bounds: Bounds) -> int:
             upper = agents
         else:
             lower = agents
+        agents = lower + (upper - lower) // 2
     if last != (upper, True):
         # rerun so the node fields hold the winning assignment, not the
         # last probe's
@@ -304,6 +311,32 @@ def _nearest_seq_ancestors(dag: Dag) -> dict:
     return out
 
 
+def _precedence_broken(dag: Dag) -> bool:
+    """True when some assigned unit step sits in a slot no lower than one
+    of its nearest assigned unit-step ancestors.  One parents-first pass
+    carries, per node, the lowest slot a child sees through it: a unit
+    step's own slot, or for a zero-duration node the lowest its parents
+    show (an unassigned step shows no constraint)."""
+    seq, inf = DagKind.SEQ, math.inf
+    shows: dict[int, float] = {}  # node index -> the slot a child sees
+    for node in reversed(children_first(dag)):
+        low = inf
+        for parent in node.parents:
+            up = shows[parent.index]
+            if up < low:
+                low = up
+        if node.kind is seq:
+            if node.slot:
+                if low <= node.slot:
+                    return True
+                shows[node.index] = node.slot
+            else:
+                shows[node.index] = inf
+        else:
+            shows[node.index] = low
+    return False
+
+
 def verify_schedule(dag: Dag, slots: int | None = None,
                     agents: int | None = None) -> list:
     """Independent checks of the assignment held in the node fields.
@@ -335,16 +368,19 @@ def verify_schedule(dag: Dag, slots: int | None = None,
                 "collision", node.name,
                 "shares %s with %s" % (key, used[key].name)))
         used[key] = node
-    nearest = _nearest_seq_ancestors(dag)
-    for node in seqs:
-        if node.slot == 0:
-            continue
-        for ancestor in nearest[id(node)]:
-            if ancestor.slot != 0 and ancestor.slot <= node.slot:
-                violations.append(Violation(
-                    "precedence", node.name,
-                    "%s (slot %d) must come after %s (slot %d)"
-                    % (ancestor.name, ancestor.slot, node.name, node.slot)))
+    if _precedence_broken(dag):
+        # name every misordered (step, ancestor) pair
+        nearest = _nearest_seq_ancestors(dag)
+        for node in seqs:
+            if node.slot == 0:
+                continue
+            for ancestor in nearest[id(node)]:
+                if ancestor.slot != 0 and ancestor.slot <= node.slot:
+                    violations.append(Violation(
+                        "precedence", node.name,
+                        "%s (slot %d) must come after %s (slot %d)"
+                        % (ancestor.name, ancestor.slot, node.name,
+                           node.slot)))
     agents_used = {x.agent for x in seqs if x.agent}
     if agents_used and agents_used != set(range(1, max(agents_used) + 1)):
         violations.append(Violation(

@@ -30,7 +30,7 @@ from adtsched import (
     verify_schedule,
 )
 from adtsched.preprocess import canonical_form, copy_dag
-from adtsched.scheduler import _reshuffle
+from adtsched.scheduler import _nearest_seq_ancestors, _reshuffle
 
 from conftest import TREES
 from rand_trees import random_adt, random_small_adt
@@ -194,6 +194,30 @@ def test_every_schedule_verifies_clean():
             for r in min_schedule(case.variants):
                 if r.feasible and r.n:
                     assert verify_schedule(r.variant.dag) == []
+
+
+def test_precedence_pass_finds_every_breach():
+    """Swapped, shared and cleared slots: ``verify_schedule`` reports
+    exactly the (step, nearest unit-step ancestor) pairs out of order."""
+    rng = random.Random(SEED)
+    for adt in forest(40, defence_prob=0.3):
+        for case in preprocess_cases(adt):
+            for r in min_schedule(case.variants):
+                if not (r.feasible and r.n):
+                    continue
+                dag = r.variant.dag
+                steps = [x for x in dag.nodes if x.kind is DagKind.SEQ]
+                nearest = _nearest_seq_ancestors(dag)
+                for _ in range(6):
+                    a, b = rng.choice(steps), rng.choice(steps)
+                    a.slot, b.slot = rng.choice(
+                        ((b.slot, a.slot), (b.slot, b.slot), (0, b.slot)))
+                    expected = sorted(
+                        x.name for x in steps if x.slot
+                        for y in nearest[id(x)] if 0 < y.slot <= x.slot)
+                    found = sorted(v.node for v in verify_schedule(dag)
+                                   if v.kind == "precedence")
+                    assert found == expected
 
 
 def dag_shape(dag):

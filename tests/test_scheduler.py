@@ -20,11 +20,13 @@ from adtsched import (
     verify_schedule,
     zero_assign,
 )
+from adtsched import scheduler
 from adtsched.preprocess import copy_dag
 from adtsched.scheduler import _reshuffle
 
 from conftest import load_tree
 from rand_trees import chains_adt
+import reference_bisection
 
 
 def variant_of(name):
@@ -117,6 +119,37 @@ def test_relaxed_chains_need_mcnaughton_agents():
                                        math.ceil(sum(durations) / slots))
         assert verify_schedule(r.variant.dag, slots=slots,
                                agents=r.agents) == []
+
+
+def test_one_probe_where_the_pigeonhole_bound_fits(monkeypatch):
+    """Where ceil(n/slots) agents fit, the search runs the packer once per
+    variant; where they do not, it still finds the bisection's count."""
+    probes = []
+
+    def counting(dag, slots, agents):
+        probes.append(agents)
+        return schedule_candidate(dag, slots, agents)
+
+    monkeypatch.setattr(scheduler, "schedule_candidate", counting)
+    rng = random.Random(11)
+    for width in (6, 17, 30, 45):
+        durations = [1] + [rng.randint(1, 40) for _ in range(width - 1)]
+        variant, = preprocess(chains_adt(durations))
+        tight = max(durations)
+        for slots in (tight, math.ceil(tight * rng.uniform(1.25, 2.5))):
+            probes.clear()
+            r, = min_schedule([variant], slots_override=slots)
+            assert probes == [r.agents] == [math.ceil(sum(durations) / slots)]
+    # the root step alone fills the last slot: 8 steps in 4 slots need 3
+    variant, = preprocess(parse_adt(
+        "a: AND(b, c, d) time=1\nb: ATTACK time=2\nc: ATTACK time=2\n"
+        "d: ATTACK time=3\n"))
+    twin = copy_dag(variant.dag)
+    probes.clear()
+    r, = min_schedule([variant])
+    assert (r.slots, r.agents, probes) == (4, 3, [2, 3])
+    assert reference_bisection._min_agents(twin, compute_bounds(twin)) == 3
+    assert brute_force_min_agents(twin) == 3
 
 
 # -------------------------------------------------------------- assignment
