@@ -326,12 +326,9 @@ def _precedence_broken(dag: Dag) -> bool:
             if up < low:
                 low = up
         if node.kind is seq:
-            if node.slot:
-                if low <= node.slot:
-                    return True
-                shows[node.index] = node.slot
-            else:
-                shows[node.index] = inf
+            if node.slot and low <= node.slot:
+                return True
+            shows[node.index] = node.slot or inf
         else:
             shows[node.index] = low
     return False
