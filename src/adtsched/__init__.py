@@ -38,6 +38,7 @@ from .scheduler import (
     TooLarge,
     Violation,
     ZeroSlots,
+    analyse,
     brute_force_min_agents,
     compute_bounds,
     min_schedule,
@@ -64,14 +65,12 @@ __all__ = [
     "AllZeroDurations", "NonDivisibleDuration", "NameCollision",
     "compute_time_unit", "normalize_time", "expand_sand",
     "enumerate_defence_variants", "apply_defence_config",
-    "defence_signature", "enumerate_or_variants", "preprocess",
-    "preprocess_cases",
+    "enumerate_or_variants", "preprocess_cases",
     "Bounds", "ScheduleResult", "Violation",
     "ZeroSlots", "TooLarge", "InternalError",
-    "compute_bounds", "schedule_candidate", "zero_assign", "min_schedule",
+    "compute_bounds", "schedule_candidate", "min_schedule", "analyse",
     "verify_schedule", "brute_force_min_agents",
-    "render_table", "signature_heading", "to_json", "to_csv", "variant_cost",
-    "InvalidParams", "generate_scaling_adt", "BENCH_ROWS", "bench_row",
-    "run_scalability",
+    "render_table", "to_json", "to_csv",
+    "InvalidParams",
     "__version__",
 ]

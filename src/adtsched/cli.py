@@ -8,8 +8,9 @@
     adtsched bench [--table-file PATH]
 
 Exit codes: 0 on success (an impossible attack is still a successful
-analysis), 1 on usage errors, 2 on parse or validation errors and on trees
-the pipeline rejects (``error: <message>`` on stderr), 3 on an internal
+analysis), 1 on usage errors, 2 on parse or validation errors, on trees
+the pipeline rejects and on a ``--table-file`` that cannot be written
+(``error: <message>`` on stderr), 3 on an internal
 error (an invariant of the algorithm failed; a bug, reported as
 ``internal error: <message>`` on stderr).
 """
@@ -20,15 +21,16 @@ import argparse
 import logging
 import sys
 
-from .generator import InvalidParams, generate_scaling_adt, run_scalability
+from .generator import (
+    InvalidParams,
+    bench_row,
+    generate_scaling_adt,
+    run_scalability,
+)
 from .model import validate_adt
 from .parser import ParseError, export_dot, parse_adt, serialize_adt
-from .preprocess import (
-    expand_sand,
-    normalize_time,
-    preprocess,
-    preprocess_cases,
-)
+from .preprocess import (expand_sand, normalize_time, preprocess,
+                         preprocess_cases)
 from .report import (
     render_table,
     signature_heading,
@@ -36,9 +38,7 @@ from .report import (
     to_json,
     variant_cost,
 )
-from .scheduler import InternalError, compute_bounds, min_schedule
-
-log = logging.getLogger(__name__)
+from .scheduler import InternalError, analyse, compute_bounds
 
 
 class _Parser(argparse.ArgumentParser):
@@ -112,30 +112,12 @@ def _load(path: str):
     return adt
 
 
-def _select_results(per_case, all_variants):
-    """Default: per case (its results, in order) the fewest-agents feasible
-    variant (first on a tie); --all-or-variants keeps everything."""
-    selected = []
-    for rs in per_case:
-        if all_variants or len(rs) == 1:
-            selected.extend(rs)
-            continue
-        feasible = [r for r in rs if r.feasible]
-        if not feasible:
-            selected.append(rs[0])
-            continue
-        selected.append(min(feasible, key=lambda r: r.agents))
-    return selected
-
-
 def cmd_schedule(ns) -> int:
     adt = _load(ns.tree)
     if adt is None:
         return 2
-    cases = preprocess_cases(adt, all_variants=ns.all_or_variants)
-    per_case = [min_schedule(case.variants, slots_override=ns.slots_override)
-                for case in cases]
-    selected = _select_results(per_case, ns.all_or_variants)
+    selected = analyse(adt, slots_override=ns.slots_override,
+                       all_variants=ns.all_or_variants)
     if ns.json:
         sys.stdout.write(to_json(selected, adt))
         return 0
@@ -221,29 +203,30 @@ def cmd_export(ns) -> int:
 
 def cmd_generate(ns) -> int:
     try:
-        adt = generate_scaling_adt(ns.depth, ns.width, ns.children)
+        if ns.emit == "adt":
+            sys.stdout.write(serialize_adt(
+                generate_scaling_adt(ns.depth, ns.width, ns.children)))
+            return 0
+        row = bench_row(ns.depth, ns.width, ns.children)
     except InvalidParams as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    if ns.emit == "adt":
-        sys.stdout.write(serialize_adt(adt))
-        return 0
-    results = min_schedule(preprocess(adt))
-    result = results[0]
-    print("depth=%d width=%d children=%d adtree=%d agents=%d slots=%d"
-          % (ns.depth, ns.width, ns.children, len(adt.nodes),
-             result.agents, result.slots))
+    print("depth=%(depth)d width=%(width)d children=%(children)d "
+          "adtree=%(adtree)d agents=%(agents)d slots=%(slots)d" % row)
     return 0
 
 
 def cmd_bench(ns) -> int:
-    table = run_scalability()
-    if ns.table_file:
+    if not ns.table_file:
+        sys.stdout.write(run_scalability())
+        return 0
+    try:  # open first, so a bad path fails before the sweep runs
         with open(ns.table_file, "w", encoding="utf-8", newline="") as out:
-            out.write(table)
-        log.info("wrote %s", ns.table_file)
-    else:
-        sys.stdout.write(table)
+            out.write(run_scalability())
+    except OSError as exc:
+        print("error: cannot write %s: %s" % (ns.table_file, exc),
+              file=sys.stderr)
+        return 2
     return 0
 
 

@@ -14,8 +14,7 @@ import logging
 import time
 
 from .model import Adt, AdtNode, NodeKind, validate_adt
-from .preprocess import preprocess
-from .scheduler import min_schedule
+from .scheduler import analyse
 
 log = logging.getLogger(__name__)
 
@@ -98,12 +97,11 @@ BENCH_ROWS = [
 
 
 def bench_row(depth: int, width: int, children: int) -> dict:
-    """Generate, preprocess and schedule one configuration."""
+    """Generate and schedule one configuration."""
     start = time.perf_counter()
     adt = generate_scaling_adt(depth, width, children)
-    results = min_schedule(preprocess(adt))
+    result = analyse(adt)[0]
     elapsed = (time.perf_counter() - start) * 1000.0
-    result = results[0]
     return {
         "depth": depth, "width": width, "children": children,
         "adtree": len(adt.nodes), "agents": result.agents,

@@ -1,4 +1,4 @@
-"""Minimal-agent schedules for preprocessed DAG variants.
+"""Minimal-agent schedules for preprocessed DAG variants and whole trees.
 
 Slots number the time steps 1..L backwards from the root: the root's depth
 is the total completion time L, a node assigned slot s runs during step s,
@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 
+from .model import Adt
 from .preprocess import (
     Dag,
     DagKind,
@@ -26,6 +27,7 @@ from .preprocess import (
     InternalError,
     Variant,
     children_first,
+    preprocess_cases,
 )
 
 
@@ -113,9 +115,9 @@ def schedule_candidate(dag: Dag, slots: int, agents: int):
     is done: a unit step placed in a strictly higher slot, or a
     zero-duration node whose own parents are all done.  Each slot takes up
     to ``agents`` ready steps, deepest first (ties by creation order), and
-    releases their children when it closes.  Returns the partial assignment
-    and the number of unit steps left over; 0 leftovers means the candidate
-    count suffices.
+    releases their children when it closes.  Returns the number of unit
+    steps left over, 0 when the candidate count suffices; the node fields
+    ``agent`` and ``slot`` hold the assignment, 0 on a node not placed.
 
     Every call builds its own start state: one pass over the nodes clears
     their cells and counts each node's parents not yet done and the unit
@@ -125,11 +127,11 @@ def schedule_candidate(dag: Dag, slots: int, agents: int):
 
     Expects ``depth`` to be populated (:func:`compute_bounds` does it) and
     every OR to have one child, as in the variant DAGs that
-    :func:`enumerate_or_variants` builds (each chosen OR keeps only its
-    chosen branch).  Then depth strictly decreases along
-    every path between unit steps, so the deepest ready step is the deepest
-    unplaced one, and the packer places the same steps as a sweep over
-    levels that skips steps with an ancestor in the current slot.
+    :func:`preprocess_cases` builds (each chosen OR keeps only its chosen
+    branch).  Then depth strictly decreases along every path between unit
+    steps, so the deepest ready step is the deepest unplaced one, and the
+    packer places the same steps as a sweep over levels that skips steps
+    with an ancestor in the current slot.
     """
     # nodes are in creation order, so the last one has the highest index
     pending = [0] * (dag.nodes[-1].index + 1)
@@ -161,8 +163,7 @@ def schedule_candidate(dag: Dag, slots: int, agents: int):
         _reshuffle(agent - 1, occupants)
         _release(occupants.values(), pending, ready)
         slot -= 1
-    assignment = {x: (x.agent, x.slot) for x in dag.nodes if x.slot}
-    return assignment, n_remain
+    return n_remain
 
 
 def _reshuffle(num_agents: int, occupants: dict) -> None:
@@ -249,8 +250,7 @@ def _min_agents(dag: Dag, bounds: Bounds) -> int:
     agents = lower + 1
     last = None
     while upper - lower > 1:
-        _, remaining = schedule_candidate(dag, bounds.slots, agents)
-        ok = remaining == 0
+        ok = schedule_candidate(dag, bounds.slots, agents) == 0
         last = (agents, ok)
         if ok:
             upper = agents
@@ -260,8 +260,7 @@ def _min_agents(dag: Dag, bounds: Bounds) -> int:
     if last != (upper, True):
         # rerun so the node fields hold the winning assignment, not the
         # last probe's
-        _, remaining = schedule_candidate(dag, bounds.slots, upper)
-        if remaining != 0:
+        if schedule_candidate(dag, bounds.slots, upper) != 0:
             raise InternalError("%d agents rejected despite width %d"
                                 % (upper, bounds.upper))
     return upper
@@ -287,6 +286,24 @@ def min_schedule(variants: list,
     """Schedule every variant, in order, with the fewest agents that still
     meet its fastest completion time (or ``slots_override`` slots)."""
     return [_schedule_variant(v, slots_override) for v in variants]
+
+
+def analyse(adt: Adt, slots_override: int | None = None,
+            all_variants: bool = False) -> list[ScheduleResult]:
+    """Preprocess and schedule a tree.  Per defence case, in order, the
+    result of the variant that needs the fewest agents (the first on a
+    tie; the case's first result when none is feasible), or with
+    ``all_variants`` the results of every time-optimal OR selection.
+    ``slots_override`` replaces the fastest completion time as deadline."""
+    selected = []
+    for case in preprocess_cases(adt, all_variants=all_variants):
+        results = min_schedule(case.variants, slots_override=slots_override)
+        if all_variants:
+            selected.extend(results)
+        else:  # min keeps the first of equal keys
+            selected.append(min(results,
+                                key=lambda r: (not r.feasible, r.agents)))
+    return selected
 
 
 @dataclass

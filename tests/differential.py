@@ -14,7 +14,8 @@ The runs are
   ``defence_prob`` 0.2, 0.4 and 0.6 by seed mod 3, each tree under every
   entry of ``TREE_INVOCATIONS``;
 * every input of the four workloads in ``perfbench/workloads.py`` at seeds
-  1 and 2, each under ``schedule`` with its own flags.
+  1 and 2, each under ``schedule`` with its own flags;
+* ``generate --emit result`` for every row of ``BENCH_ROWS``.
 
 The tree file is always ``tree.adt`` in the current directory, so messages
 that name it read the same in every checkout.  The file name does not
@@ -39,11 +40,13 @@ TREE_INVOCATIONS = [
     ["schedule", TREE, "--slots-override", "9", "--json"],
     ["schedule", TREE, "--elide"],
     ["variants", TREE],
+    ["export", TREE, "--dot", "--stage", "variant:1"],
 ]
 
 
-def inputs(serialize_adt, random_adt, workloads):
-    """``(tree text, [args, ...])`` for every tree, in run order."""
+def inputs(serialize_adt, random_adt, workloads, bench_rows):
+    """``(tree text, [args, ...])`` for every tree, in run order; the
+    ``generate`` runs read no tree and come last."""
     for seed in range(3000):
         adt = random_adt(random.Random(seed), max_leaves=12, max_time=3,
                          defence_prob=(0.2, 0.4, 0.6)[seed % 3])
@@ -52,6 +55,9 @@ def inputs(serialize_adt, random_adt, workloads):
         for seed in (1, 2):
             for item in workloads.build(name, seed):
                 yield item.text, [["schedule", TREE] + item.flags]
+    yield "", [["generate", "--depth", str(d), "--width", str(w),
+                "--children", str(c), "--emit", "result"]
+               for d, w, c in bench_rows]
 
 
 def run(cli, args):
@@ -71,6 +77,7 @@ def main(argv) -> int:
     src = pathlib.Path(argv[1]).resolve()
     sys.path[:0] = [str(src), str(HERE), str(HERE.parent / "perfbench")]
     from adtsched import cli
+    from adtsched.generator import BENCH_ROWS
     from adtsched.parser import serialize_adt
     from rand_trees import random_adt
     import workloads
@@ -85,7 +92,7 @@ def main(argv) -> int:
         os.chdir(tmp)
         try:
             for text, invocations in inputs(serialize_adt, random_adt,
-                                            workloads):
+                                            workloads, BENCH_ROWS):
                 with open(TREE, "w", encoding="utf-8") as handle:
                     handle.write(text)
                 for args in invocations:

@@ -16,7 +16,7 @@ def _min_agents(dag: Dag, bounds: Bounds) -> int:
     last = None
     while upper - lower > 1:
         agents = lower + (upper - lower) // 2
-        _, remaining = schedule_candidate(dag, bounds.slots, agents)
+        remaining = schedule_candidate(dag, bounds.slots, agents)
         ok = remaining == 0
         last = (agents, ok)
         if ok:
@@ -26,7 +26,7 @@ def _min_agents(dag: Dag, bounds: Bounds) -> int:
     if last != (upper, True):
         # rerun so the node fields hold the winning assignment, not the
         # last probe's
-        _, remaining = schedule_candidate(dag, bounds.slots, upper)
+        remaining = schedule_candidate(dag, bounds.slots, upper)
         if remaining != 0:
             raise InternalError("%d agents rejected despite width %d"
                                 % (upper, bounds.upper))

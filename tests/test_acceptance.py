@@ -218,7 +218,7 @@ def test_exhaustive_oracle_on_200_trees():
                 if exhaustive != r.agents:
                     failures.append("tree %d: %d agents vs exhaustive %d"
                                     % (trees, r.agents, exhaustive))
-                _, remain = schedule_candidate(copy_dag(dag), r.slots, r.agents - 1)
+                remain = schedule_candidate(copy_dag(dag), r.slots, r.agents - 1)
                 if remain <= 0:
                     failures.append("tree %d: %d-1 agents also schedule"
                                     % (trees, r.agents))

@@ -9,10 +9,25 @@ import adtsched
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 
-def library_names():
+def library_section():
     text = README.read_text()
-    section = text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
-    return set(re.findall(r"`([A-Za-z_][A-Za-z0-9_]*)`", section))
+    return text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+
+
+def library_names():
+    return set(re.findall(r"`([A-Za-z_][A-Za-z0-9_]*)`", library_section()))
+
+
+def library_example():
+    """The section's code block as (code, expected stdout): the ``# ``
+    lines that end the block are the output."""
+    block = library_section().split("```python\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    code = len(lines)
+    while code and lines[code - 1].startswith("# "):
+        code -= 1
+    return ("\n".join(lines[:code]) + "\n",
+            "".join(line[2:] + "\n" for line in lines[code:]))
 
 
 def test_documented_library_names_are_exported():
@@ -20,6 +35,28 @@ def test_documented_library_names_are_exported():
     assert "verify_schedule" in names  # the section was found and parsed
     names |= {"parse_adt", "preprocess_cases", "min_schedule"}
     assert names <= set(adtsched.__all__)
+
+
+def test_every_exported_callable_is_documented():
+    """Every function and class in ``__all__`` is named in the Library
+    section: as a code span, as a call in one, or in the example's
+    import."""
+    named = set(re.findall(r"`([A-Za-z_][A-Za-z0-9_]*)[`(]",
+                           library_section()))
+    for imported in re.findall(r"^from adtsched import (.+)$",
+                               library_example()[0], re.M):
+        named |= {name.strip() for name in imported.split(",")}
+    missing = [name for name in adtsched.__all__
+               if callable(getattr(adtsched, name)) and name not in named]
+    assert missing == []
+
+
+def test_library_example_prints_what_readme_shows(capsys, monkeypatch):
+    code, expected = library_example()
+    assert "analyse(" in code and expected
+    monkeypatch.chdir(README.parent)  # the example reads trees/
+    exec(compile(code, "README.md", "exec"), {"__name__": "readme"})
+    assert capsys.readouterr().out == expected
 
 
 def test_every_export_resolves():

@@ -117,7 +117,7 @@ def test_variants_with_no_unit_steps(capsys, tmp_path):
 def test_internal_error_exits_3(capsys, monkeypatch):
     # a packer that always leaves one step over makes the bisection fail
     monkeypatch.setattr(scheduler, "schedule_candidate",
-                        lambda dag, slots, agents: ({}, 1))
+                        lambda dag, slots, agents: 1)
     code, out, err = run(capsys, "schedule", str(TREES / "interrupted.adt"))
     assert code == 3
     assert out == ""
@@ -233,11 +233,11 @@ def test_default_schedule_schedules_one_variant_of_an_or_fan(
     tree.write_text(or_fan_text(12))
     sent = []
 
-    def counting(variants, min_schedule=cli.min_schedule, **kwargs):
+    def counting(variants, min_schedule=scheduler.min_schedule, **kwargs):
         sent.extend(variants)
         return min_schedule(variants, **kwargs)
 
-    monkeypatch.setattr(cli, "min_schedule", counting)
+    monkeypatch.setattr(scheduler, "min_schedule", counting)
     code, out, _ = run(capsys, "schedule", str(tree), "--json")
     assert code == 0
     assert len(sent) == 1
@@ -274,13 +274,14 @@ def test_one_variant_per_class_schedules_as_the_full_list(
     expected = [run(capsys, *argv) for argv in argvs]
     skipped = []
 
-    def full(adt, all_variants=True, preprocess_cases=cli.preprocess_cases):
+    def full(adt, all_variants=True,
+             preprocess_cases=scheduler.preprocess_cases):
         cases = preprocess_cases(adt)
         skipped.append(sum(len(case.variants) for case in cases) - sum(
             len(case.variants) for case in preprocess_cases(adt, False)))
         return cases
 
-    monkeypatch.setattr(cli, "preprocess_cases", full)
+    monkeypatch.setattr(scheduler, "preprocess_cases", full)
     for argv, before in zip(argvs, expected):
         assert run(capsys, *argv) == before, argv
     assert len(skipped) == len(argvs)
@@ -384,6 +385,20 @@ def test_bench_writes_csv(capsys, tmp_path, monkeypatch):
     assert len(lines) == 3
     assert lines[1].startswith("2,2,2,5,2,3,")
     assert lines[2].startswith("3,4,2,9,3,5,")
+
+
+def test_bench_reports_an_unwritable_table_file(capsys, tmp_path,
+                                                monkeypatch):
+    # exit 2 like an unreadable input, with one error line, no traceback
+    monkeypatch.setattr("adtsched.generator.BENCH_ROWS", [(2, 2, 2)])
+    target = tmp_path / "missing-dir" / "x.csv"
+    code, out, err = run(capsys, "bench", "--table-file", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write %s: " % target)
+    assert "No such file or directory" in err
+    assert err.count("\n") == 1
+    assert not target.parent.exists()
 
 
 def test_bench_stdout_by_default(capsys, monkeypatch):

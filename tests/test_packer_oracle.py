@@ -18,8 +18,14 @@ BUNDLED = ("treasure", "forestall", "iot-dev", "gain-admin",
 
 
 def packings(dag, slots, agents, packer):
-    _, left = packer(dag, slots, agents)
+    """``packer`` returns the leftover count and leaves its assignment in
+    the node fields."""
+    left = packer(dag, slots, agents)
     return left, {x.name: (x.agent, x.slot) for x in dag.nodes}
+
+
+def level_sweep_leftovers(dag, slots, agents):
+    return level_sweep_candidate(dag, slots, agents)[1]
 
 
 def disagreements(adt, slots_factor=None):
@@ -38,7 +44,7 @@ def disagreements(adt, slots_factor=None):
         twin = copy_dag(dag)  # carries depth and level
         for agents in range(bounds.lower + 1, bounds.upper + 1):
             new = packings(dag, bounds.slots, agents, schedule_candidate)
-            old = packings(twin, bounds.slots, agents, level_sweep_candidate)
+            old = packings(twin, bounds.slots, agents, level_sweep_leftovers)
             if new != old:
                 found.append((variant.or_choices, agents))
     return found

@@ -159,7 +159,7 @@ def test_candidate_run_fails_below_minimum():
     v = variant_of("interrupted")
     dag = copy_dag(v.dag)
     compute_bounds(dag)
-    _, remain = schedule_candidate(dag, 5, 1)
+    remain = schedule_candidate(dag, 5, 1)
     assert remain > 0
 
 
@@ -167,11 +167,12 @@ def test_candidate_run_succeeds_at_minimum():
     v = variant_of("interrupted")
     dag = copy_dag(v.dag)
     compute_bounds(dag)
-    assignment, remain = schedule_candidate(dag, 5, 2)
+    remain = schedule_candidate(dag, 5, 2)
     assert remain == 0
     cells = {(x.agent, x.slot) for x in seqs(dag)}
     assert len(cells) == len(seqs(dag))  # no sharing
-    assert len(assignment) == len(seqs(dag))
+    # the node fields hold the assignment: every unit step and nothing else
+    assert [x for x in dag.nodes if x.slot] == seqs(dag)
 
 
 def test_min_schedule_interrupted():
