@@ -9,6 +9,7 @@ from adtsched import (
     FAILED,
     ZeroSlots,
     TooLarge,
+    analyse,
     brute_force_min_agents,
     compute_bounds,
     expand_sand,
@@ -173,6 +174,26 @@ def test_candidate_run_succeeds_at_minimum():
     assert len(cells) == len(seqs(dag))  # no sharing
     # the node fields hold the assignment: every unit step and nothing else
     assert [x for x in dag.nodes if x.slot] == seqs(dag)
+
+
+def test_analyse_keeps_the_fewest_agents_per_case(treasure):
+    # three time-optimal selections of distinct shapes: x needs 2 agents,
+    # y and z one each
+    adt = parse_adt("r: OR(x, y, z)\nx: AND(a, b)\nz: SAND(c, d)\n"
+                    "a: ATTACK time=2\nb: ATTACK time=2\ny: ATTACK time=2\n"
+                    "c: ATTACK time=1\nd: ATTACK time=1\n")
+
+    def picked(**kwargs):
+        return [(r.variant.or_choices["r"], r.slots, r.agents)
+                for r in analyse(adt, **kwargs)]
+
+    assert picked(all_variants=True) == [("x", 2, 2), ("y", 2, 1),
+                                         ("z", 2, 1)]
+    assert picked() == [("y", 2, 1)]  # the first of the fewest
+    # with 4 slots every selection fits one agent, so the first one wins
+    assert picked(slots_override=4) == [("x", 4, 1)]
+    # an impossible case keeps its one, infeasible result
+    assert [r.feasible for r in analyse(treasure)] == [True, False]
 
 
 def test_min_schedule_interrupted():
