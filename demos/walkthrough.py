@@ -13,6 +13,7 @@ from adtsched import (
     normalize_time,
     parse_adt,
     preprocess_cases,
+    unit_dag,
     validate_adt,
 )
 from adtsched.preprocess import DagKind
@@ -34,12 +35,15 @@ def main():
     print("== time normalisation (one slot = %d time unit%s)"
           % (tunit, "" if tunit == 1 else "s"))
     dag = normalize_time(adt)
-    print("   %d nodes, %d of them unit steps" % (len(dag.nodes), dag.n))
+    # counted in the unit-step view, where each step of a chain is a node
+    print("   %d nodes, %d of them unit steps"
+          % (len(unit_dag(dag).nodes), dag.n))
 
     print("\n== sequential gates become ordering joints")
     dag = expand_sand(dag)
     joints = sum(1 for x in dag.nodes if x.kind is DagKind.NULL)
-    print("   %d nodes, %d zero-duration joints" % (len(dag.nodes), joints))
+    print("   %d nodes, %d zero-duration joints"
+          % (len(unit_dag(dag).nodes), joints))
 
     print("\n== defence outcomes, each resolved on the tree and built as its own"
           " DAG, then one choice per OR gate")

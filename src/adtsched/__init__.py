@@ -30,6 +30,7 @@ from .preprocess import (
     normalize_time,
     preprocess,
     preprocess_cases,
+    unit_dag,
 )
 from .scheduler import (
     Bounds,
@@ -65,7 +66,7 @@ __all__ = [
     "AllZeroDurations", "NonDivisibleDuration", "NameCollision",
     "compute_time_unit", "normalize_time", "expand_sand",
     "enumerate_defence_variants", "apply_defence_config",
-    "enumerate_or_variants", "preprocess_cases",
+    "enumerate_or_variants", "preprocess_cases", "unit_dag",
     "Bounds", "ScheduleResult", "Violation",
     "ZeroSlots", "TooLarge", "InternalError",
     "compute_bounds", "schedule_candidate", "min_schedule", "analyse",

@@ -107,6 +107,7 @@ class ValidationError:
     * ``counter-gate-arity`` -- CAND/SCAND/NODEF without exactly 2 children
     * ``empty-gate``         -- AND/OR/SAND with no children
     * ``leaf-with-children`` -- a LEAF that lists children
+    * ``duplicate-child``    -- a gate that lists one child twice
     * ``multi-parent``       -- a label referenced by two parents
     * ``cycle``              -- a child path returning to an ancestor
     * ``unreachable-node``   -- a definition not reachable from the root
@@ -181,10 +182,15 @@ def validate_adt(adt: Adt) -> list[ValidationError]:
     for label, node in adt.nodes.items():
         for child in node.children:
             if child in parent_seen and child in adt.nodes:
-                errors.append(ValidationError(
-                    "multi-parent", child,
-                    "%r is a child of both %r and %r"
-                    % (child, parent_seen[child], label)))
+                if parent_seen[child] == label:
+                    errors.append(ValidationError(
+                        "duplicate-child", label,
+                        "%r lists child %r twice" % (label, child)))
+                else:
+                    errors.append(ValidationError(
+                        "multi-parent", child,
+                        "%r is a child of both %r and %r"
+                        % (child, parent_seen[child], label)))
             else:
                 parent_seen[child] = label
 

@@ -13,7 +13,9 @@ One node per line::
   keywords are case-insensitive.
 * Attributes: ``time=N`` (optionally ``Nh`` = 60 units, ``Nmin`` = 1 unit),
   ``cost=N``, ``condition=text`` (quote the text if it contains spaces;
-  conditions are carried verbatim, never interpreted).
+  conditions are carried verbatim, never interpreted), each at most once
+  per line.  ``N`` is written in ASCII digits.
+* A gate lists each child once.
 * ``#`` starts a comment.  An optional ``root: label`` line names the root;
   without it the root is the unique label never used as a child.
 """
@@ -28,7 +30,7 @@ LABEL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
 _GATE_RE = re.compile(r"^([A-Za-z]+)\s*\(([^()]*)\)\s*(.*)$")
 _LEAF_RE = re.compile(r"^([A-Za-z]+)\b\s*(.*)$")
 _ATTR_RE = re.compile(r'([A-Za-z_]+)\s*=\s*("[^"]*"|\S+)\s*')
-_TIME_RE = re.compile(r"^(\d+)(h|min)?$")
+_TIME_RE = re.compile(r"^([0-9]+)(h|min)?$")
 
 _GATE_KINDS = {
     "and": NodeKind.AND,
@@ -45,7 +47,8 @@ class ParseError(Exception):
     """Raised on malformed input; carries a 1-based line number.
 
     ``kind`` is one of ``syntax``, ``unknown-kind``, ``undefined-child``,
-    ``duplicate-definition``, ``missing-root``.
+    ``duplicate-definition`` (a label, attribute, child or root directive
+    given twice), ``missing-root``.
     """
 
     def __init__(self, kind: str, line: int, message: str):
@@ -66,7 +69,7 @@ def _strip_comment(line: str) -> str:
 
 
 def _parse_attrs(text: str, lineno: int) -> tuple[int, int, str | None]:
-    duration, cost, condition = 0, 0, None
+    duration = cost = condition = None  # None: not given yet
     pos = 0
     while pos < len(text):
         m = _ATTR_RE.match(text, pos)
@@ -76,6 +79,11 @@ def _parse_attrs(text: str, lineno: int) -> tuple[int, int, str | None]:
         key, value = m.group(1), m.group(2)
         if value.startswith('"'):
             value = value[1:-1]
+        if (key == "time" and duration is not None
+                or key == "cost" and cost is not None
+                or key == "condition" and condition is not None):
+            raise ParseError("duplicate-definition", lineno,
+                             "attribute %r given twice" % key)
         if key == "time":
             tm = _TIME_RE.match(value)
             if tm is None:
@@ -83,7 +91,7 @@ def _parse_attrs(text: str, lineno: int) -> tuple[int, int, str | None]:
                                  "bad time value %r" % value)
             duration = int(tm.group(1)) * (60 if tm.group(2) == "h" else 1)
         elif key == "cost":
-            if not value.isdigit():
+            if not (value.isascii() and value.isdigit()):
                 raise ParseError("syntax", lineno,
                                  "bad cost value %r" % value)
             cost = int(value)
@@ -92,7 +100,7 @@ def _parse_attrs(text: str, lineno: int) -> tuple[int, int, str | None]:
         else:
             raise ParseError("syntax", lineno, "unknown attribute %r" % key)
         pos = m.end()
-    return duration, cost, condition
+    return duration or 0, cost or 0, condition
 
 
 def parse_adt(text: str) -> Adt:
@@ -134,6 +142,12 @@ def parse_adt(text: str) -> Adt:
                         raise ParseError("syntax", lineno,
                                          "bad child label %r" % part.strip())
                     children.append(child)
+                if len(set(children)) < len(children):
+                    twice = next(c for i, c in enumerate(children)
+                                 if c in children[:i])
+                    raise ParseError("duplicate-definition", lineno,
+                                     "%r lists child %r twice"
+                                     % (label, twice))
             duration, cost, condition = _parse_attrs(gate.group(3), lineno)
             node = AdtNode(label, kind, children, duration, cost, condition)
         else:
@@ -182,11 +196,15 @@ def parse_adt(text: str) -> Adt:
 
     referenced = {c for node in nodes.values() for c in node.children}
     candidates = [label for label in nodes if label not in referenced]
-    if len(candidates) != 1:
-        raise ParseError(
-            "missing-root", 1,
-            "no definitions" if not nodes else
-            "cannot infer root: candidates %s" % (candidates,))
+    if not nodes:
+        raise ParseError("missing-root", 1, "no definitions")
+    if not candidates:
+        raise ParseError("missing-root", 1,
+                         "cannot infer root: every label is a child of "
+                         "another, so the definitions form a cycle")
+    if len(candidates) > 1:
+        raise ParseError("missing-root", 1,
+                         "cannot infer root: candidates %s" % (candidates,))
     return Adt(candidates[0], nodes)
 
 
@@ -225,11 +243,12 @@ def export_dot(obj) -> str:
 
     ADT leaves are triangles and gates boxes (the gate kind is printed in
     the node label), coloured by side -- validate first so gate roles are
-    derived.  DAG nodes: diamonds for unit-duration steps, trapeziums for
-    zero-duration join points, triangles for leaves, boxes for gates.
-    Edges point from a node to what it directly waits for.
+    derived.  A DAG is drawn in its unit-step view (``unit_dag``):
+    diamonds for unit-duration steps, trapeziums for zero-duration join
+    points, triangles for leaves, boxes for gates.  Edges point from a node
+    to what it directly waits for.
     """
-    from .preprocess import Dag, DagKind
+    from .preprocess import Dag, DagKind, unit_dag
 
     lines = []
     if isinstance(obj, Adt):
@@ -248,6 +267,7 @@ def export_dot(obj) -> str:
             for child in node.children:
                 lines.append('  "%s" -> "%s";' % (label, child))
     elif isinstance(obj, Dag):
+        obj = unit_dag(obj)
         lines.append("digraph dag {")
         for n in obj.nodes:
             if n.kind is DagKind.SEQ:

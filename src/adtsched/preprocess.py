@@ -1,10 +1,13 @@
 """Turn a validated attack-defence tree into unit-time attack DAGs.
 
 The scheduler downstream only understands one thing: a DAG whose
-unit-duration steps (``SEQ`` nodes) must each get an agent and a time slot,
-with every node waiting for all of its children.  :func:`preprocess_cases`
-splits one preorder of the tree into its attack side and its defence
-subtrees, then
+unit-duration steps must each get an agent and a time slot, with every node
+waiting for all of its children.  The steps of one action form a chain,
+kept as one ``SEQ`` node whose ``weight`` is its number of steps; the steps
+themselves exist only by arithmetic (:class:`DagNode`), and
+:func:`unit_dag` spells them out where a node per step is wanted.
+:func:`preprocess_cases` splits one preorder of the tree into its attack
+side and its defence subtrees, then
 
 1. resolves the attack side in one bottom-up pass to what the attacker
    still has to do (possibly nothing) under every outcome of the defence
@@ -17,9 +20,10 @@ subtrees, then
    (:func:`_or_selections`), and merges trees that keep the same tree
    nodes into one case; on request it keeps one selection per class of
    selections whose DAGs match node for node, up to labels,
-3. builds each case's variants once: every timed node becomes a chain of
-   unit steps above a zero-duration remnant, and :func:`expand_sand`
-   rewrites ordered conjunctions into cross-links.
+3. builds each case's variants once: every timed node becomes one chain
+   node, weighted by its number of unit steps, above a zero-duration
+   remnant, and :func:`expand_sand` rewrites ordered conjunctions into
+   cross-links.
 
 The stages also stand alone: :func:`apply_defence_config` builds one
 outcome's DAG, :func:`enumerate_or_variants` one outcome's variants,
@@ -95,20 +99,34 @@ _KIND_OF = {
 class DagNode:
     """A DAG node.  ``children`` are what the node waits for; ``parents`` is
     kept symmetric at all times.  ``index`` is the creation number and serves
-    as the deterministic tie-breaker everywhere downstream.  ``depth``,
-    ``level``, ``agent`` and ``slot`` are scratch fields owned by the
-    scheduler."""
+    as the deterministic tie-breaker everywhere downstream.
+
+    A ``SEQ`` node is a chain of ``weight`` unit steps ``X_1 .. X_w``, first
+    to last, carrying the name of ``X_1``; the step ``X_j`` has index
+    ``index + j - 1`` and exists only by that arithmetic (see
+    :func:`step_name` and :func:`unit_dag`).  Every other node takes no time
+    and has weight 0.
+
+    ``depth``, ``level``, ``agent``, ``slot`` and ``runs`` are scratch fields
+    owned by the scheduler.  On a chain, ``depth`` and ``level`` are those of
+    its last step ``X_w``, the one its parents wait for.  ``agent`` and
+    ``slot`` hold a zero-duration node's cell, and on a chain the cell of
+    its earliest placed step.  A chain's ``runs`` lists its placement as
+    ``(agent, first slot, length)`` runs, in ascending slots; it is left
+    empty when the chain ran whole on ``agent`` from ``slot`` on."""
 
     name: str
     origin: str
     kind: DagKind
     index: int
+    weight: int = 0
     children: list["DagNode"] = field(default_factory=list, repr=False)
     parents: list["DagNode"] = field(default_factory=list, repr=False)
     depth: int = 0
     level: int = 0
     agent: int = 0
     slot: int = 0
+    runs: tuple = ()
 
     def __repr__(self):
         return "DagNode(%r)" % self.name
@@ -117,25 +135,58 @@ class DagNode:
 class Dag:
     """Node container.  ``nodes`` is in creation order, so ascending by
     ``index``; ``root`` is None for the empty DAG (a defence that cannot be
-    beaten).  Names are unique: :func:`expand_sand` checks the only names
-    that can clash; a caller that looks nodes up by name builds its own
-    dict once."""
+    beaten).  Names, step names included, are unique: :func:`expand_sand`
+    checks the only names that can clash; a caller that looks nodes up by
+    name builds its own dict once.  The topological order of
+    :func:`children_first` is kept until a node is added."""
 
     def __init__(self):
         self.root: DagNode | None = None
         self.nodes: list[DagNode] = []
         self._next_index = 0
+        self._order: list[DagNode] | None = None
 
-    def new_node(self, name: str, origin: str, kind: DagKind) -> DagNode:
-        node = DagNode(name, origin, kind, self._next_index)
-        self._next_index += 1
+    def new_node(self, name: str, origin: str, kind: DagKind,
+                 weight: int = 0) -> DagNode:
+        """A node with the next free index; a chain reserves one index per
+        step."""
+        node = DagNode(name, origin, kind, self._next_index, weight)
+        self._next_index += max(weight, 1)
         self.nodes.append(node)
+        self._order = None
         return node
 
     @property
     def n(self) -> int:
         """Number of unit steps to be scheduled."""
-        return sum(1 for x in self.nodes if x.kind is DagKind.SEQ)
+        return sum(x.weight for x in self.nodes)
+
+
+def step_name(node: DagNode, j: int) -> str:
+    """Name of the ``j``-th unit step of the chain ``node``."""
+    return node.name if j == 1 else "%s_%d" % (node.origin, j)
+
+
+def step_names(node: DagNode, j: int, count: int) -> list[str]:
+    """Names of the ``count`` unit steps of the chain ``node`` from the
+    ``j``-th on."""
+    prefix = node.origin + "_"
+    names = [prefix + str(k) for k in range(j, j + count)]
+    if j == 1:
+        names[0] = node.name
+    return names
+
+
+def node_runs(node: DagNode) -> tuple:
+    """The placement of ``node`` as ``(agent, first slot, length)`` runs in
+    ascending slots: one run of length 0 for a zero-duration node, nothing
+    for a node not placed.  A chain's runs end with its last step ``X_w``;
+    steps missing below them are unplaced."""
+    if node.runs:
+        return node.runs
+    if not node.slot:
+        return ()
+    return ((node.agent, node.slot, node.weight),)
 
 
 def link(parent: DagNode, child: DagNode) -> None:
@@ -145,8 +196,10 @@ def link(parent: DagNode, child: DagNode) -> None:
 
 def children_first(dag: Dag) -> list[DagNode]:
     """Topological order with every node after all of its children; reverse
-    it for parents first."""
-    pending = [0] * dag._next_index  # by node index
+    it for parents first.  Computed once per DAG and kept on it."""
+    if dag._order is not None:
+        return dag._order
+    pending = {}  # node index -> children not yet ordered
     order = []
     for node in dag.nodes:
         if node.children:
@@ -160,6 +213,7 @@ def children_first(dag: Dag) -> list[DagNode]:
                 order.append(parent)
     if len(order) != len(dag.nodes):
         raise InternalError("cycle in DAG")
+    dag._order = order
     return order
 
 
@@ -172,9 +226,10 @@ def copy_dag(dag: Dag, restrict: set | None = None) -> Dag:
     for node in dag.nodes:
         if restrict is not None and node not in restrict:
             continue
-        twin = DagNode(node.name, node.origin, node.kind, node.index)
+        twin = DagNode(node.name, node.origin, node.kind, node.index,
+                       node.weight)
         twin.depth, twin.level = node.depth, node.level
-        twin.agent, twin.slot = node.agent, node.slot
+        twin.agent, twin.slot, twin.runs = node.agent, node.slot, node.runs
         out.nodes.append(twin)
         mapping[id(node)] = twin
     for node in dag.nodes:
@@ -187,6 +242,53 @@ def copy_dag(dag: Dag, restrict: set | None = None) -> Dag:
                 link(twin, ctwin)
     if dag.root is not None:
         out.root = mapping.get(id(dag.root))
+    out._next_index = dag._next_index
+    return out
+
+
+def unit_dag(dag: Dag) -> Dag:
+    """The unit-step view of ``dag``: every chain of weight w becomes the w
+    nodes ``X_1 .. X_w`` of weight 1, each waiting for the one before, with
+    the indices, depths, levels and cells (agent, slot; 0 when unplaced)
+    its steps have by arithmetic.  Zero-duration nodes are copied, and
+    edge order is kept.  For DOT export and for checks against the
+    unit-step algorithms."""
+    out = Dag()
+    bottom: dict[int, DagNode] = {}  # node id -> its X_1, or its copy
+    top: dict[int, DagNode] = {}     # node id -> its X_w, or its copy
+    for node in dag.nodes:
+        if not node.weight:
+            twin = DagNode(node.name, node.origin, node.kind, node.index)
+            twin.depth, twin.level = node.depth, node.level
+            twin.agent, twin.slot = node.agent, node.slot
+            out.nodes.append(twin)
+            bottom[id(node)] = top[id(node)] = twin
+            continue
+        w = node.weight
+        runs = node_runs(node)
+        # the runs end with X_w; the steps below them are not placed
+        cells = [(0, 0)] * (w - sum(run[2] for run in runs))
+        for agent, first, length in runs:
+            cells += [(agent, slot) for slot in range(first, first + length)]
+        below = None
+        for j in range(1, w + 1):
+            step = DagNode(step_name(node, j), node.origin, DagKind.SEQ,
+                           node.index + j - 1, 1)
+            step.depth = node.depth - (w - j)
+            step.level = node.level + (w - j)
+            step.agent, step.slot = cells[j - 1]
+            if below is None:
+                bottom[id(node)] = step
+            else:
+                link(step, below)
+            out.nodes.append(step)
+            below = step
+        top[id(node)] = below
+    for node in dag.nodes:
+        bottom[id(node)].children.extend(top[id(c)] for c in node.children)
+        top[id(node)].parents.extend(bottom[id(p)] for p in node.parents)
+    if dag.root is not None:
+        out.root = top[id(dag.root)]
     out._next_index = dag._next_index
     return out
 
@@ -206,13 +308,13 @@ def compute_time_unit(adt: Adt) -> int:
 
 def _build(adt: Adt, tunit: int, shape: dict, names: dict) -> Dag:
     """DAG of the part of ``adt`` that ``shape`` (label -> (DagKind,
-    children)) reaches from the root.  Every node of duration t becomes a
-    chain of t/tunit unit steps ``X_1 .. X_k`` feeding into a zero-duration
-    remnant ``X'`` with the shape's kind and children.  Node creation order
-    is depth-first over the shape, which fixes all scheduling tie-breaks
-    downstream.  ``names`` (label -> (``X'``, [``X_1`` .. ``X_k``])) is
-    filled as labels are met, so the DAGs built from one table share their
-    name strings."""
+    children)) reaches from the root.  Every node of duration t becomes one
+    chain of t/tunit unit steps ``X_1 .. X_k`` (a ``SEQ`` node of that
+    weight, named ``X_1``) feeding into a zero-duration remnant ``X'`` with
+    the shape's kind and children.  Node creation order is depth-first over
+    the shape, which fixes all scheduling tie-breaks downstream.  ``names``
+    (label -> (``X'``, ``X_1``, k)) is filled as labels are met, so the DAGs
+    built from one table share their name strings."""
     dag = Dag()
     tops: dict[str, DagNode] = {}
     remnants: dict[str, DagNode] = {}
@@ -229,15 +331,13 @@ def _build(adt: Adt, tunit: int, shape: dict, names: dict) -> Dag:
                 raise NonDivisibleDuration(
                     "duration %d of %r is not a multiple of %d"
                     % (duration, label, tunit))
-            entry = names[label] = (
-                label + "'",
-                ["%s_%d" % (label, i) for i in range(1, duration // tunit + 1)])
+            entry = names[label] = (label + "'", label + "_1",
+                                    duration // tunit)
         remnant = dag.new_node(entry[0], label, shape[label][0])
         top = remnant
-        for name in entry[1]:
-            step = dag.new_node(name, label, DagKind.SEQ)
-            link(step, top)
-            top = step
+        if entry[2]:
+            top = dag.new_node(entry[1], label, DagKind.SEQ, entry[2])
+            link(top, remnant)
         remnants[label] = remnant
         tops[label] = top
     for label in order:
@@ -251,7 +351,7 @@ def normalize_time(adt: Adt, tunit: int | None = None) -> Dag:
     """The whole tree, defence subtrees and counter gates included, as a
     DAG: every node of duration t becomes a chain of t/tunit unit steps
     ``X_1 .. X_k`` feeding into a zero-duration remnant ``X'`` that keeps
-    the node's kind and original children."""
+    the node's kind and original children (see :func:`_build`)."""
     if tunit is None:
         tunit = compute_time_unit(adt)
     shape = {label: (_KIND_OF[node.kind], node.children)
@@ -287,7 +387,9 @@ def expand_sand(dag: Dag) -> Dag:
 
     Raises :class:`NameCollision` when a link name is taken.  Only the unit
     steps of a label named ``X'`` can take it, so the check runs against the
-    names the DAG had before its first expansion.
+    names the DAG had before its first expansion.  Those include the name
+    of each chain's first step, and the links are numbered from 1 too, so
+    a timed ``X'`` clashes at ``X'_1`` already.
     """
     sands = [x for x in dag.nodes if x.kind is DagKind.SAND]
     taken: set | None = None
@@ -323,6 +425,7 @@ def expand_sand(dag: Dag) -> Dag:
         dag.nodes.remove(remnant)
         if dag.root is remnant:
             dag.root = nulls[-1]
+    dag._order = None
     return dag
 
 

@@ -5,9 +5,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+from itertools import repeat
 
 from .model import Adt
-from .preprocess import DagKind
+from .preprocess import step_name, step_names
 from .scheduler import ScheduleResult
 
 ELLIPSIS = "⋯"
@@ -27,29 +28,37 @@ def variant_cost(result: ScheduleResult, adt: Adt) -> int:
     return sum(adt.nodes[o].cost for o in origins if o in adt.nodes)
 
 
-def _cell_text(nodes) -> str:
-    if nodes is None:
-        return ""
-    if len(nodes) == 1:
-        return nodes[0].name
-    return ", ".join(sorted(x.name for x in nodes))
+def _elided(slots: int, origins: list, shared: dict) -> list:
+    """The slots to print, latest first, with None for an ellipsis row
+    that stands for the uneventful rows between two kept ones: a stretch
+    of at least four rows that hold one unit step per busy agent and
+    nothing else, with the same origins on the same agents.  ``origins``
+    holds, per agent, the origin of the unit step in each slot, and
+    ``shared`` the cells that hold a zero-duration node."""
+    broken = {slot for slot, _ in shared}
 
-
-def _chain_signature(cells):
-    """Per-agent origins of a row that holds nothing but one unit step per
-    busy agent; None for an empty row or where any cell breaks the
-    pattern."""
-    sig = []
-    busy = False
-    for nodes in cells:
-        if nodes is None:
-            sig.append(None)
-        elif len(nodes) == 1 and nodes[0].kind is DagKind.SEQ:
-            sig.append(nodes[0].origin)
-            busy = True
-        else:
+    def signature(slot):
+        if slot in broken:
             return None
-    return tuple(sig) if busy else None
+        sig = tuple(column[slot] for column in origins)
+        return sig if any(sig) else None
+
+    order = list(range(slots, 0, -1))
+    signatures = [signature(slot) for slot in order]
+    kept = []
+    i = 0
+    while i < len(order):
+        sig = signatures[i]
+        j = i
+        while (sig is not None and j + 1 < len(order)
+               and signatures[j + 1] == sig):
+            j += 1
+        if j - i + 1 >= 4:
+            kept += [order[i], None, order[j]]
+        else:
+            kept.extend(order[i:j + 1])
+        i = j + 1
+    return kept
 
 
 def render_table(result: ScheduleResult, elide: bool = False) -> str:
@@ -58,56 +67,64 @@ def render_table(result: ScheduleResult, elide: bool = False) -> str:
     An infeasible variant renders as its banner instead."""
     if not result.feasible:
         return "attack impossible\n"
-    # grid[slot][agent - 1]: the nodes in that cell, None when it is empty
-    grid = [[None] * result.agents for _ in range(result.slots + 1)]
-    for node, (agent, slot) in result.assignment.items():
-        cell = grid[slot][agent - 1]
-        if cell is None:
-            grid[slot][agent - 1] = [node]
-        else:
-            cell.append(node)
-    slots = range(result.slots, 0, -1)
-    rows = [(slot, [_cell_text(nodes) for nodes in grid[slot]])
-            for slot in slots]
+    slots, agents = result.slots, result.agents
+    # columns[agent - 1][slot]: the text of that cell; origins alike, the
+    # origin of the one unit step in it, for ``elide``
+    columns = [[""] * (slots + 1) for _ in range(agents)]
+    origins = [[None] * (slots + 1) for _ in range(agents)] if elide else ()
+    shared: dict[tuple, list] = {}  # cells with a zero-duration node
+    for node, runs in result.assignment.items():
+        if not node.weight:
+            agent, slot, _ = runs[0]
+            shared.setdefault((slot, agent), []).append(node.name)
+            continue
+        j = 1  # the chain is placed in full, so its runs start at X_1
+        for agent, first, length in runs:
+            end = first + length
+            columns[agent - 1][first:end] = step_names(node, j, length)
+            if elide:
+                origins[agent - 1][first:end] = [node.origin] * length
+            j += length
+    for (slot, agent), names in shared.items():
+        column = columns[agent - 1]
+        if column[slot]:
+            names.append(column[slot])
+        column[slot] = ", ".join(sorted(names))
     if elide:
-        signatures = [_chain_signature(grid[slot]) for slot in slots]
-        kept = []
-        i = 0
-        while i < len(rows):
-            sig = signatures[i]
-            j = i
-            while (sig is not None and j + 1 < len(rows)
-                   and signatures[j + 1] == sig):
-                j += 1
-            if j - i + 1 >= 4:
-                kept.append(rows[i])
-                kept.append((None, [""] * result.agents))
-                kept.append(rows[j])
-            else:
-                kept.extend(rows[i:j + 1])
-            i = j + 1
-        rows = kept
-    header = ["slot/agent"] + [str(a) for a in range(1, result.agents + 1)]
-    widths = [len(h) for h in header]
+        order = _elided(slots, origins, shared)
+        labels = [ELLIPSIS if slot is None else str(slot) for slot in order]
+        rows = [[column[slot] if slot else "" for slot in order]
+                for column in columns]
+    else:
+        labels = list(map(str, range(slots, 0, -1)))
+        rows = [column[slots:0:-1] for column in columns]
+    header = [str(a) for a in range(1, agents + 1)]
     # the first row is the latest slot, which has the longest label
-    widths[0] = max(widths[0], len(str(result.slots)))
-    for k, column in enumerate(zip(*(row for _, row in rows)), start=1):
-        widths[k] = max(widths[k], max(map(len, column)))
-    line = " | ".join(["{:>%d}" % widths[0]]
-                      + ["{:<%d}" % w for w in widths[1:]]).format
-    lines = [line(*header).rstrip()]
-    for slot, row in rows:
-        lines.append(line(ELLIPSIS if slot is None else str(slot),
-                          *row).rstrip())
+    width = max(len("slot/agent"), len(str(slots)))
+    cells = [list(map(str.rjust, ["slot/agent"] + labels, repeat(width)))]
+    for name, column in zip(header, rows):
+        width = max(len(name), max(map(len, column), default=0))
+        cells.append(list(map(str.ljust, [name] + column, repeat(width))))
+    lines = map(str.rstrip, map(" | ".join, zip(*cells)))
     return "\n".join(lines) + "\n"
 
 
 def _assignment_records(result: ScheduleResult) -> list:
-    records = [
-        {"node": node.name, "origin": node.origin,
-         "agent": agent, "slot": slot}
-        for node, (agent, slot) in result.assignment.items()
-    ]
+    """One record per unit step and zero-duration node, latest slot
+    first; step names are made here only."""
+    records = []
+    for node, runs in result.assignment.items():
+        origin = node.origin
+        j = 0  # the chain is placed in full, so its runs start at X_1
+        for agent, first, length in runs:
+            if not length:  # a zero-duration node
+                records.append({"node": node.name, "origin": origin,
+                                "agent": agent, "slot": first})
+            for slot in range(first, first + length):
+                j += 1
+                records.append({"node": step_name(node, j),
+                                "origin": origin, "agent": agent,
+                                "slot": slot})
     records.sort(key=lambda r: (-r["slot"], r["agent"], r["node"]))
     return records
 

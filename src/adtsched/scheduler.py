@@ -4,13 +4,16 @@ Slots number the time steps 1..L backwards from the root: the root's depth
 is the total completion time L, a node assigned slot s runs during step s,
 and every node must sit in a strictly higher slot than each of the unit
 steps below it.  The scheduler fills slots greedily from the root down,
-highest level first (Hu 1961): a heap holds the unit steps whose ancestors
-are all placed, deepest first.  The search for the number of agents probes
-the pigeonhole bound first, which ends it wherever that count fits, and
-otherwise bisects up to the width of the level structure.  Every probe
-builds its own start state from the root.  Once the agent count is found,
-zero-duration nodes take the cell of a neighbouring unit step, in one
-bottom-up and one top-down pass.
+highest level first (Hu 1961): a heap holds the chains whose next unit
+step has all its ancestors placed, deepest step first, and where the
+placement settles it jumps over the slots that repeat it.  A chain's
+placement is a list of runs (agent, first slot, length).  The search for
+the number of agents probes the pigeonhole bound first, which ends it
+wherever that count fits, and otherwise bisects up to the width of the
+level structure.  Every probe builds its own start state from the root.
+Once the agent count is found, zero-duration nodes take the cell of a
+neighbouring unit step, in one bottom-up and one top-down pass, and the
+schedule is verified before it is returned.
 """
 
 from __future__ import annotations
@@ -27,7 +30,10 @@ from .preprocess import (
     InternalError,
     Variant,
     children_first,
+    node_runs,
     preprocess_cases,
+    step_name,
+    unit_dag,
 )
 
 
@@ -53,32 +59,36 @@ def compute_bounds(dag: Dag, slots_override: int | None = None) -> Bounds:
     of unit steps sharing a level, which always succeeds.
 
     Fills in every node's ``depth`` bottom-up, its earliest completion time
-    (unit steps add 1, joins wait for all children, an OR needs only its
-    fastest child), then its ``level`` top-down, the most unit steps crossed
-    on a path from the root, both over one topological order.
+    (a chain adds its weight, joins wait for all children, an OR needs only
+    its fastest child), then its ``level`` top-down, the most unit steps
+    crossed on a path from the root, both over one topological order.  The
+    steps of a chain of weight w at level l hold the levels l .. l+w-1, so
+    the widest level comes from one sweep over those intervals.
     """
     order = children_first(dag)
     for node in order:
         if node.kind is DagKind.SEQ:
-            node.depth = node.children[0].depth + 1
+            node.depth = node.children[0].depth + node.weight
         elif not node.children:
             node.depth = 0
         elif node.kind is DagKind.OR:
             node.depth = min(c.depth for c in node.children)
         else:
             node.depth = max(c.depth for c in node.children)
-    per_level: dict[int, int] = {}
+    change: dict[int, int] = {}  # level -> chains starting minus ending
     n = 0
     for node in reversed(order):
         level = 0
         for p in node.parents:
-            up = p.level + 1 if p.kind is DagKind.SEQ else p.level
+            up = p.level + p.weight
             if up > level:
                 level = up
         node.level = level
-        if node.kind is DagKind.SEQ:
-            n += 1
-            per_level[level] = per_level.get(level, 0) + 1
+        weight = node.weight
+        if weight:
+            n += weight
+            change[level] = change.get(level, 0) + 1
+            change[level + weight] = change.get(level + weight, 0) - 1
     if dag.root is None or dag.root.depth == 0:
         raise ZeroSlots("root depth is zero")
     slots = dag.root.depth
@@ -88,22 +98,28 @@ def compute_bounds(dag: Dag, slots_override: int | None = None) -> Bounds:
                 "slots override %d below minimum %d" % (slots_override, slots))
         slots = slots_override
     lower = (n + slots - 1) // slots - 1
-    upper = max(per_level.values())
+    upper = width = 0
+    for level in sorted(change):
+        width += change[level]
+        if width > upper:
+            upper = width
     return Bounds(lower, upper, slots)
 
 
 def _release(done, pending: list, ready: list) -> None:
     """Count the ``done`` nodes as finished for their children.  A child
-    whose last pending parent this was is ready if it is a unit step, and
-    done in turn if it takes no time.  ``pending`` is indexed by node
-    ``index``; ``ready`` is a heap of ``(-depth, index, node)``."""
+    whose last pending parent this was is ready if it is a chain, and done
+    in turn if it takes no time.  ``pending`` is keyed by node ``index``;
+    ``ready`` is a heap of chains keyed by their next step, ``(-depth,
+    index, chain)``."""
     stack = list(done)
     while stack:
         for child in stack.pop().children:
             pending[child.index] -= 1
             if not pending[child.index]:
-                if child.kind is DagKind.SEQ:
-                    heappush(ready, (-child.depth, child.index, child))
+                if child.weight:
+                    heappush(ready, (-child.depth,
+                                     child.index + child.weight - 1, child))
                 else:
                     stack.append(child)
 
@@ -111,18 +127,47 @@ def _release(done, pending: list, ready: list) -> None:
 def schedule_candidate(dag: Dag, slots: int, agents: int):
     """Greedy assignment with a fixed agent count.
 
-    Fills slots from ``slots`` down.  A unit step is ready once every parent
-    is done: a unit step placed in a strictly higher slot, or a
-    zero-duration node whose own parents are all done.  Each slot takes up
-    to ``agents`` ready steps, deepest first (ties by creation order), and
-    releases their children when it closes.  Returns the number of unit
-    steps left over, 0 when the candidate count suffices; the node fields
-    ``agent`` and ``slot`` hold the assignment, 0 on a node not placed.
+    Fills slots from ``slots`` down, as if every chain were its unit steps.
+    A step is ready once every parent is done: the chain's step above it,
+    placed in a strictly higher slot, or for a chain's last step ``X_w``
+    the chain's parents, where a zero-duration node is done once its own
+    parents are.  Each slot takes up to ``agents`` ready steps, deepest
+    first (ties by step index), hands out agents in that order, moves each
+    step onto the agent of the step it follows (:func:`_reshuffle`), and
+    releases the children of every chain that placed its ``X_1``.  Returns
+    the number of unit steps left over, 0 when the candidate count
+    suffices; the node fields ``agent``, ``slot`` and ``runs`` hold the
+    assignment (see :class:`DagNode`), 0 and no runs on a node not placed.
+
+    The heap holds each ready chain once, keyed by its next step: step
+    ``X_j`` has depth ``child.depth + j`` and index ``index + j - 1``.  A
+    chain that places a step and goes on moves to key (depth - 1, index -
+    1), so the keys of the running chains shift alike and keep their order,
+    while the keys of the waiting ones stay put.
+
+    *Jumps.*  When a slot puts the same chains on the same agents as the
+    slot before, every following slot repeats it until the next event: a
+    running chain places its ``X_1``, or the best waiting key beats the
+    worst running one.  The packer places those slots at once.  The jump
+    is exact because every skipped slot has the same inputs as the slot
+    just placed: no chain finished, so nothing was released; the running
+    keys kept their order and all still beat the waiting ones, so the same
+    chains come out in the same order and take the same agents; and each
+    of them follows its own step on the agent that ran it, which the slot
+    before gave the same agent too, so the reshuffle moves them alike.  The
+    deadline check cannot fire inside a jump.  It asks whether the best
+    ready step is deeper than the slot, and a running step's depth minus
+    the slot stays what it was when that step passed the check, at most 0.
+    A waiting step's depth stays fixed, so it exceeds the slot only after
+    it has become deeper than every running step, which is an event that
+    ends the jump first.  Nor can a jump pass slot 1: a running step's
+    depth is at most its slot, and its chain's ``X_1`` has depth at least
+    1.
 
     Every call builds its own start state: one pass over the nodes clears
     their cells and counts each node's parents not yet done and the unit
     steps left, and the ready heap starts from ``dag.root``, the one node
-    without parents, or from the unit steps its zero-duration descendants
+    without parents, or from the chains its zero-duration descendants
     release.
 
     Expects ``depth`` to be populated (:func:`compute_bounds` does it) and
@@ -133,60 +178,129 @@ def schedule_candidate(dag: Dag, slots: int, agents: int):
     packer places the same steps as a sweep over levels that skips steps
     with an ancestor in the current slot.
     """
-    # nodes are in creation order, so the last one has the highest index
-    pending = [0] * (dag.nodes[-1].index + 1)
+    # keyed by index: a chain's indices run to its weight, so a list by
+    # index would grow with the durations
+    pending = {}
     n_remain = 0
     for node in dag.nodes:
         node.agent = 0
         node.slot = 0
+        node.runs = ()
         pending[node.index] = len(node.parents)
-        if node.kind is DagKind.SEQ:
-            n_remain += 1
+        n_remain += node.weight
     root = dag.root
     ready: list = []
-    if root.kind is DagKind.SEQ:
-        ready.append((-root.depth, root.index, root))
+    if root.weight:
+        ready.append((-root.depth, root.index + root.weight - 1, root))
     else:
         _release([root], pending, ready)
+    opened: dict = {}  # chain of weight > 1 -> first slot of its open run
+    before = None      # the previous slot's occupants
     slot = slots
     while n_remain > 0 and slot > 0:
         if -ready[0][0] > slot:
             break  # some pending chain no longer fits below this slot
+        keys = []
         occupants: dict[int, DagNode] = {}
-        agent = 1
-        while ready and agent <= agents:
-            node = heappop(ready)[2]
-            node.agent, node.slot = agent, slot
-            occupants[agent] = node
+        agent = 0
+        while ready and agent < agents:
+            key = heappop(ready)
+            keys.append(key)
             agent += 1
-        n_remain -= agent - 1
-        _reshuffle(agent - 1, occupants)
-        _release(occupants.values(), pending, ready)
-        slot -= 1
+            occupants[agent] = key[2]
+        _reshuffle(agent, occupants)
+        for agent, node in occupants.items():
+            if node.weight > 1:
+                top = opened.get(node)
+                if top is None:
+                    opened[node] = slot
+                elif node.agent != agent or node.slot != slot + 1:
+                    run = (node.agent, node.slot, top - node.slot + 1)
+                    if node.runs:
+                        node.runs.append(run)
+                    else:
+                        node.runs = [run]
+                    opened[node] = slot
+            node.agent = agent
+            node.slot = slot
+        skip = 0
+        if occupants == before:
+            # steps each chain has left below this slot
+            skip = min(index - node.index for _, index, node in keys)
+            if skip and ready:  # every agent is busy and some chain waits
+                best, worst = ready[0], keys[-1]
+                gap = best[0] - worst[0]  # how much deeper the worst runs
+                # after t more slots the waiting chain beats the worst
+                # running one when t > gap, or t == gap and its index is
+                # lower
+                overtake = gap if gap and best[1] < worst[1] - gap \
+                    else gap + 1
+                skip = min(skip, overtake - 1)
+            if skip:
+                for node in occupants.values():
+                    node.slot -= skip
+        before = occupants
+        n_remain -= len(keys) * (skip + 1)
+        done = []
+        for depth, index, node in keys:
+            index -= skip
+            if index == node.index:  # placed X_1
+                done.append(node)
+                if node.weight > 1:
+                    top = opened.pop(node)
+                    if node.runs:
+                        node.runs = _ascending(node, top)
+            else:
+                heappush(ready, (depth + skip + 1, index - 1, node))
+        if done:
+            _release(done, pending, ready)
+        slot -= skip + 1
+    for node, top in opened.items():  # chains left unfinished
+        node.runs = _ascending(node, top)
     return n_remain
+
+
+def _ascending(node: DagNode, top: int) -> tuple:
+    """The runs of a chain whose open run began at slot ``top``, ascending;
+    ``node.runs`` holds its closed runs, latest first."""
+    return ((node.agent, node.slot, top - node.slot + 1),) \
+        + tuple(reversed(node.runs))
 
 
 def _reshuffle(num_agents: int, occupants: dict) -> None:
     """Swap same-slot assignments so each unit step stays with the agent
-    that carries its chain, keeping hand-offs to a minimum: a unit step
-    moves to the agent of its only parent once that parent is placed.
-    ``occupants`` maps agent -> the unit step it runs in one slot and is
-    updated too."""
+    that carries its chain, keeping hand-offs to a minimum: a step moves to
+    the agent of the step it follows, which is its chain's previous step,
+    or for a chain's first step its only parent, once placed.
+    ``occupants`` maps agent -> the chain it runs in one slot and is
+    updated; the node fields still hold each chain's previous cell."""
     for agent in range(1, num_agents + 1):
         current = occupants.get(agent)
-        if current is None or len(current.parents) != 1:
+        if current is None:
             continue
-        target = current.parents[0].agent
-        if target == 0 or target == current.agent:
+        if current.slot:
+            target = current.agent
+        elif len(current.parents) == 1:
+            target = current.parents[0].agent
+        else:
+            continue
+        if target == 0 or target == agent:
             continue
         other = occupants.get(target)
         if other is not None:
-            other.agent = current.agent
-            occupants[current.agent] = other
+            occupants[agent] = other
         else:
-            del occupants[current.agent]
-        current.agent = target
+            del occupants[agent]
         occupants[target] = current
+
+
+def _last_cell(node: DagNode) -> tuple:
+    """(slot, agent) of the latest step of a placed chain, or the cell of a
+    zero-duration node."""
+    if node.runs:
+        agent, first, length = node.runs[-1]
+        return first + length - 1, agent
+    return node.slot + max(node.weight - 1, 0), node.agent
 
 
 def zero_assign(dag: Dag) -> None:
@@ -194,23 +308,31 @@ def zero_assign(dag: Dag) -> None:
     next to it, in two passes over one topological order.  Expects every
     unit step placed and ``depth`` populated.
 
-    Bottom-up, a node directly under a unit step takes the cell of that
-    step (the first such parent), and otherwise a node that waits for timed
-    children (depth > 0) takes the cell of the latest of them (highest
-    slot, then lowest index).  Top-down, each node left over takes the cell
-    of its earliest parent (lowest slot, then lowest index).  A node still
-    without a cell raises :class:`InternalError`.
+    Bottom-up, a node directly under a chain takes the cell of its first
+    step ``X_1`` (the first such parent), and otherwise a node that waits
+    for timed children (depth > 0) takes the latest cell among them: a
+    chain's ``X_w`` or a zero node's cell (highest slot, then lowest step
+    index).  Top-down, each node left over takes the cell of its earliest
+    parent (lowest slot, then lowest step index).  A node still without a
+    cell raises :class:`InternalError`.
     """
-    order = [x for x in children_first(dag) if x.kind is not DagKind.SEQ]
+    order = [x for x in children_first(dag) if not x.weight]
     for node in order:
-        pick = next((p for p in node.parents if p.kind is DagKind.SEQ), None)
-        if pick is None:
-            waits = [c for c in node.children if c.depth > 0]
-            pick = max(waits, key=lambda c: (c.slot, -c.index), default=None)
-        if pick is None:
+        pick = next((p for p in node.parents if p.weight), None)
+        if pick is not None:
+            node.agent, node.slot = pick.agent, pick.slot
+            continue
+        best = None
+        for c in node.children:
+            if c.depth > 0:
+                slot, agent = _last_cell(c)
+                key = (slot, -c.index - max(c.weight - 1, 0))
+                if best is None or key > best[0]:
+                    best = (key, agent)
+        if best is None:
             node.agent = node.slot = 0  # placed top-down
         else:
-            node.agent, node.slot = pick.agent, pick.slot
+            node.agent, node.slot = best[1], best[0][0]
     for node in reversed(order):
         if not node.slot and node.parents:
             pick = min(node.parents, key=lambda p: (p.slot, p.index))
@@ -226,6 +348,8 @@ class ScheduleResult:
     slots: int
     agents: int
     bounds: Bounds | None
+    #: node -> its ``(agent, first slot, length)`` runs (see
+    #: :func:`~adtsched.preprocess.node_runs`)
     assignment: dict = field(default_factory=dict)
 
     @property
@@ -276,7 +400,13 @@ def _schedule_variant(variant: Variant,
     bounds = compute_bounds(dag, slots_override)
     agents = _min_agents(dag, bounds)
     zero_assign(dag)
-    assignment = {x: (x.agent, x.slot) for x in dag.nodes}
+    problems = verify_schedule(dag, bounds.slots, agents)
+    if problems:
+        raise InternalError("schedule fails its check: %s: %s"
+                            % (problems[0].node, problems[0].message))
+    # every node is placed, so node_runs reduces to this
+    assignment = {x: x.runs or ((x.agent, x.slot, x.weight),)
+                  for x in dag.nodes}
     return ScheduleResult(variant, True, bounds.slots, agents, bounds,
                           assignment)
 
@@ -314,13 +444,13 @@ class Violation:
 
 
 def _nearest_seq_ancestors(dag: Dag) -> dict:
-    """node -> the closest unit steps above it (looking through zero
+    """node id -> the closest chains above it (looking through zero
     nodes)."""
     out: dict[int, frozenset] = {}
     for node in reversed(children_first(dag)):
         acc: set = set()
         for parent in node.parents:
-            if parent.kind is DagKind.SEQ:
+            if parent.weight:
                 acc.add(parent)
             else:
                 acc |= out[id(parent)]
@@ -328,13 +458,15 @@ def _nearest_seq_ancestors(dag: Dag) -> dict:
     return out
 
 
-def _precedence_broken(dag: Dag) -> bool:
-    """True when some assigned unit step sits in a slot no lower than one
-    of its nearest assigned unit-step ancestors.  One parents-first pass
-    carries, per node, the lowest slot a child sees through it: a unit
-    step's own slot, or for a zero-duration node the lowest its parents
-    show (an unassigned step shows no constraint)."""
-    seq, inf = DagKind.SEQ, math.inf
+def _precedence_broken(dag: Dag, ends: dict) -> bool:
+    """True when some chain's latest placed step sits in a slot no lower
+    than the ``X_1`` of one of its nearest chain ancestors.  One
+    parents-first pass carries, per node, the lowest slot a child sees
+    through it: a chain's ``X_1`` slot, or for a zero-duration node the
+    lowest its parents show.  ``ends`` maps each chain's index to the slot
+    of its latest step (0 when none is placed) and of its ``X_1`` (inf
+    when not placed)."""
+    inf = math.inf
     shows: dict[int, float] = {}  # node index -> the slot a child sees
     for node in reversed(children_first(dag)):
         low = inf
@@ -342,10 +474,10 @@ def _precedence_broken(dag: Dag) -> bool:
             up = shows[parent.index]
             if up < low:
                 low = up
-        if node.kind is seq:
-            if node.slot and low <= node.slot:
+        if node.weight:
+            top, shows[node.index] = ends[node.index]
+            if top and low <= top:
                 return True
-            shows[node.index] = node.slot or inf
         else:
             shows[node.index] = low
     return False
@@ -355,47 +487,86 @@ def verify_schedule(dag: Dag, slots: int | None = None,
                     agents: int | None = None) -> list:
     """Independent checks of the assignment held in the node fields.
     Returns violations as data; an empty list means the schedule is sound.
+    Reads each chain's runs, so it takes time linear in the nodes and runs,
+    and one sort of the runs: two steps collide where runs of one agent
+    overlap.
     """
     violations: list[Violation] = []
-    seqs = [x for x in dag.nodes if x.kind is DagKind.SEQ]
+    chains = [(x, node_runs(x)) for x in dag.nodes if x.weight]
     if slots is None:
-        slots = max((x.slot for x in seqs), default=0)
+        slots = max((first + length - 1 for _, runs in chains
+                     for _, first, length in runs), default=0)
     if agents is None:
-        agents = max((x.agent for x in seqs), default=0)
-    used: dict[tuple, DagNode] = {}
-    for node in seqs:
-        if node.slot == 0 or node.agent == 0:
+        agents = max((run[0] for _, runs in chains for run in runs),
+                     default=0)
+    spans = []  # (agent, first slot, last slot, first step's index, chain)
+    ends = {}   # chain index -> (slot of its latest step, slot of X_1)
+    for node, runs in chains:
+        placed = runs[0][2] if len(runs) == 1 else sum(r[2] for r in runs)
+        j = node.weight + 1 - placed  # the step at the start of a run
+        for missing in range(1, j):
             violations.append(Violation(
-                "unassigned", node.name, "unit step never scheduled"))
-            continue
-        if not 1 <= node.slot <= slots:
+                "unassigned", step_name(node, missing),
+                "unit step never scheduled"))
+        last = 0
+        for agent, first, length in runs:
+            end = first + length - 1
+            if not (agent and first):
+                for k in range(j, j + length):
+                    violations.append(Violation(
+                        "unassigned", step_name(node, k),
+                        "unit step never scheduled"))
+            else:
+                if first < 1 or end > slots:
+                    violations.append(Violation(
+                        "slot-range", step_name(node, j),
+                        "slots %d..%d outside 1..%d" % (first, end, slots)))
+                if not 1 <= agent <= agents:
+                    violations.append(Violation(
+                        "agent-range", step_name(node, j),
+                        "agent %d outside 1..%d" % (agent, agents)))
+                if last and first <= last:
+                    violations.append(Violation(
+                        "precedence", step_name(node, j - 1),
+                        "%s (slot %d) must come after %s (slot %d)"
+                        % (step_name(node, j), first, step_name(node, j - 1),
+                           last)))
+                spans.append((agent, first, end, node.index + j - 1, node))
+            if first:
+                last = end
+            j += length
+        whole = placed == node.weight and runs[0][1]
+        ends[node.index] = (last, runs[0][1] if whole else math.inf)
+    spans.sort()
+    reach = None  # the span of this agent that reaches the highest slot
+    for span in spans:
+        if reach is not None and reach[0] == span[0] \
+                and span[1] <= reach[2]:
+            slot, node, other = span[1], span[4], reach[4]
             violations.append(Violation(
-                "slot-range", node.name,
-                "slot %d outside 1..%d" % (node.slot, slots)))
-        if not 1 <= node.agent <= agents:
-            violations.append(Violation(
-                "agent-range", node.name,
-                "agent %d outside 1..%d" % (node.agent, agents)))
-        key = (node.agent, node.slot)
-        if key in used:
-            violations.append(Violation(
-                "collision", node.name,
-                "shares %s with %s" % (key, used[key].name)))
-        used[key] = node
-    if _precedence_broken(dag):
+                "collision", step_name(node, span[3] - node.index + 1),
+                "shares %s with %s" % (
+                    (span[0], slot),
+                    step_name(other, reach[3] - other.index + 1
+                              + slot - reach[1]))))
+        if reach is None or reach[0] != span[0] or span[2] > reach[2]:
+            reach = span
+    if _precedence_broken(dag, ends):
         # name every misordered (step, ancestor) pair
         nearest = _nearest_seq_ancestors(dag)
-        for node in seqs:
-            if node.slot == 0:
+        for node, _ in chains:
+            top = ends[node.index][0]
+            if not top:
                 continue
             for ancestor in nearest[id(node)]:
-                if ancestor.slot != 0 and ancestor.slot <= node.slot:
+                low = ends[ancestor.index][1]
+                if low <= top:
                     violations.append(Violation(
-                        "precedence", node.name,
+                        "precedence", step_name(node, node.weight),
                         "%s (slot %d) must come after %s (slot %d)"
-                        % (ancestor.name, ancestor.slot, node.name,
-                           node.slot)))
-    agents_used = {x.agent for x in seqs if x.agent}
+                        % (ancestor.name, low, step_name(node, node.weight),
+                           top)))
+    agents_used = {span[0] for span in spans}
     if agents_used and agents_used != set(range(1, max(agents_used) + 1)):
         violations.append(Violation(
             "agent-gap", dag.root.name if dag.root else "",
@@ -405,15 +576,17 @@ def verify_schedule(dag: Dag, slots: int | None = None,
 
 def brute_force_min_agents(dag: Dag, slots: int | None = None,
                            limit: int = 12) -> int:
-    """Exhaustive minimal agent count, as a check on the fast path.  Builds
+    """Exhaustive minimal agent count, as a check on the fast path.  Works
+    on the unit steps of :func:`~adtsched.preprocess.unit_dag` and builds
     its own precedence relation and chain lengths rather than trusting the
     scheduler's fields.  Raises :class:`TooLarge` past ``limit`` steps."""
-    seqs = [x for x in dag.nodes if x.kind is DagKind.SEQ]
-    n = len(seqs)
+    n = dag.n
     if n == 0:
         return 0
     if n > limit:
         raise TooLarge("%d unit steps exceed the limit of %d" % (n, limit))
+    dag = unit_dag(dag)
+    seqs = [x for x in dag.nodes if x.kind is DagKind.SEQ]
 
     nearest = _nearest_seq_ancestors(dag)
     above = {id(x): set(nearest[id(x)]) for x in seqs}

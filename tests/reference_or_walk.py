@@ -2,7 +2,7 @@
 replaced.
 
 Kept as a differential oracle: it walks the time-expanded DAG of one
-defence outcome (``apply_defence_config``), recomputing the root's depth
+defence outcome (``apply_defence_config``, in its unit-step view), recomputing the root's depth
 and the reachable set after every choice, copies each time-optimal
 selection out of that DAG, cuts the unchosen OR branches and drops
 structural duplicates by ``canonical_form``.  The tree-level walk must
@@ -16,6 +16,7 @@ from adtsched.preprocess import (
     canonical_form,
     children_first,
     copy_dag,
+    unit_dag,
 )
 
 
@@ -70,8 +71,8 @@ def _unlink(parent, child):
 def reference_or_variants(adt, config):
     """``(or_choices, dag)`` for every time-optimal OR selection of the
     outcome ``config``; ``[({}, empty dag)]`` when the attack is
-    impossible."""
-    dag = apply_defence_config(adt, config)
+    impossible.  Walks the unit-step view of the outcome's DAG."""
+    dag = unit_dag(apply_defence_config(adt, config))
     if dag.root is None:
         return [({}, dag)]
     order = children_first(dag)

@@ -24,6 +24,7 @@ from adtsched import (
     run_scalability,
     schedule_candidate,
     serialize_adt,
+    unit_dag,
     validate_adt,
     verify_schedule,
 )
@@ -44,8 +45,8 @@ def report(label, failures):
 
 def cells_of(result):
     table = {}
-    for node, (agent, slot) in result.assignment.items():
-        table.setdefault((slot, agent), set()).add(node.name)
+    for node in unit_dag(result.variant.dag).nodes:
+        table.setdefault((node.slot, node.agent), set()).add(node.name)
     return table
 
 
@@ -236,7 +237,7 @@ def test_invariant_sweep():
                 != {l: (n.kind, tuple(n.children), n.duration) for l, n in again.nodes.items()}:
             failures.append("%s: round-trip changed the tree" % name)
         tunit = compute_time_unit(adt)
-        base = expand_sand(normalize_time(adt))
+        base = unit_dag(expand_sand(normalize_time(adt)))
         per_origin = {}
         for node in base.nodes:
             if node.kind is DagKind.SEQ:

@@ -124,6 +124,26 @@ def test_internal_error_exits_3(capsys, monkeypatch):
     assert err == "internal error: 3 agents rejected despite width 3\n"
 
 
+def test_unsound_schedule_exits_3(capsys, monkeypatch):
+    # a packer that reports success but starts every chain in slot 1 on
+    # agent 1: the schedule is checked before it is returned
+    packer = scheduler.schedule_candidate
+
+    def overlapping(dag, slots, agents):
+        left = packer(dag, slots, agents)
+        for node in dag.nodes:
+            if node.weight:
+                node.runs = ((1, 1, node.weight),)
+        return left
+
+    monkeypatch.setattr(scheduler, "schedule_candidate", overlapping)
+    code, out, err = run(capsys, "schedule", str(TREES / "interrupted.adt"))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error: schedule fails its check: ")
+    assert "shares (1, 1) with" in err
+
+
 def test_or_walk_needs_no_recursion_per_gate(tmp_path):
     # an AND over 300 two-way ORs has one fastest variant; the walk over
     # them must not recurse once per chosen OR

@@ -11,6 +11,7 @@ from adtsched import (
     enumerate_defence_variants,
     enumerate_or_variants,
     parse_adt,
+    unit_dag,
 )
 
 from conftest import TREES, load_tree
@@ -26,8 +27,8 @@ def shape(dag):
 def disagreements(adt):
     found = []
     for config in enumerate_defence_variants(adt):
-        new = [(list(v.or_choices.items()), shape(v.dag),
-                v.dag.root.name if v.dag.root else None)
+        new = [(list(v.or_choices.items()), shape(unit_dag(v.dag)),
+                unit_dag(v.dag).root.name if v.dag.root else None)
                for v in enumerate_or_variants(adt, config)]
         old = [(list(choices.items()), shape(dag),
                 dag.root.name if dag.root else None)

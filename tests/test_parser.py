@@ -159,3 +159,43 @@ def test_dot_export_of_dag():
     assert dot.startswith("digraph dag {")
     assert "shape=diamond" in dot  # unit-duration nodes
     assert "shape=trapezium" in dot  # zero-duration joins
+
+
+@pytest.mark.parametrize("attrs", ["time=٣", "time=²h",
+                                   "cost=٣", "cost=²"])
+def test_only_ascii_digits_count(attrs):
+    with pytest.raises(ParseError) as err:
+        parse_adt("a: ATTACK %s\n" % attrs)
+    assert (err.value.kind, err.value.line) == ("syntax", 1)
+
+
+@pytest.mark.parametrize("attrs", ["cost=1 cost=9", "time=1 time=2",
+                                   'condition=x condition="y"'])
+def test_repeated_attribute_is_rejected(attrs):
+    with pytest.raises(ParseError) as err:
+        parse_adt("r: AND(a)\na: ATTACK time=1 %s\n" % attrs)
+    assert (err.value.kind, err.value.line) == ("duplicate-definition", 2)
+    assert "given twice" in str(err.value)
+
+
+def test_repeated_child_is_named_as_such():
+    with pytest.raises(ParseError) as err:
+        parse_adt("r: AND(a, b, a)\na: ATTACK time=1\nb: ATTACK time=1\n")
+    assert (err.value.kind, err.value.line) == ("duplicate-definition", 1)
+    assert "'r' lists child 'a' twice" in str(err.value)
+
+
+def test_validation_names_a_repeated_child():
+    adt = parse_adt("r: AND(a)\na: ATTACK time=1\n")
+    adt.node("r").children.append("a")
+    problems = validate_adt(adt)
+    assert [(p.kind, p.message) for p in problems] == [
+        ("duplicate-child", "'r' lists child 'a' twice")]
+
+
+def test_cycle_without_a_root_is_named_as_such():
+    with pytest.raises(ParseError) as err:
+        parse_adt("a: AND(b)\nb: OR(a)\n")
+    assert err.value.kind == "missing-root"
+    assert "cycle" in str(err.value)
+    assert "candidates" not in str(err.value)

@@ -25,6 +25,7 @@ from adtsched import (
     parse_adt,
     preprocess,
     preprocess_cases,
+    unit_dag,
     validate_adt,
 )
 from adtsched.preprocess import (
@@ -45,7 +46,8 @@ def build(text):
 
 
 def names(dag):
-    return {x.name for x in dag.nodes}
+    """Node names in the unit-step view, where every step has its own."""
+    return {x.name for x in unit_dag(dag).nodes}
 
 
 # ---------------------------------------------------------------- durations
@@ -77,7 +79,7 @@ def test_explicit_coarser_unit():
 
 
 def test_duration_becomes_a_chain():
-    dag = normalize_time(parse_adt("a: AND(b, c)\nb: ATTACK time=3\nc: ATTACK time=1\n"))
+    dag = unit_dag(normalize_time(parse_adt("a: AND(b, c)\nb: ATTACK time=3\nc: ATTACK time=1\n")))
     by = {x.name: x for x in dag.nodes}
     assert [c.name for c in by["b_1"].children] == ["b'"]
     assert [c.name for c in by["b_2"].children] == ["b_1"]
@@ -88,6 +90,20 @@ def test_duration_becomes_a_chain():
     assert by["b'"].kind is DagKind.LEAF
     assert by["b_3"].kind is DagKind.SEQ
     assert dag.n == 4
+
+
+def test_a_timed_node_is_one_weighted_chain():
+    dag = normalize_time(parse_adt("a: AND(b, c)\nb: ATTACK time=3\nc: ATTACK time=1\n"))
+    # each chain carries its first step's name and reserves one index per
+    # step, so the unit-step view numbers its nodes as the steps were
+    assert [(x.name, x.kind, x.weight, x.index) for x in dag.nodes] == [
+        ("a'", DagKind.AND, 0, 0), ("b'", DagKind.LEAF, 0, 1),
+        ("b_1", DagKind.SEQ, 3, 2), ("c'", DagKind.LEAF, 0, 5),
+        ("c_1", DagKind.SEQ, 1, 6)]
+    assert [(x.name, x.index) for x in unit_dag(dag).nodes] == [
+        ("a'", 0), ("b'", 1), ("b_1", 2), ("b_2", 3), ("b_3", 4),
+        ("c'", 5), ("c_1", 6)]
+    assert dag.n == unit_dag(dag).n == 4
 
 
 def test_zero_duration_gate_keeps_its_kind():
@@ -143,7 +159,7 @@ def test_sand_joint_name_collision_detected():
 
 def test_gate_duration_chains_above_the_joints():
     # a timed SAND gate runs its own chain after the sequence completes
-    dag = build("s: SAND(a, b) time=2\na: ATTACK time=1\nb: ATTACK time=1\n")
+    dag = unit_dag(build("s: SAND(a, b) time=2\na: ATTACK time=1\nb: ATTACK time=1\n"))
     by = {x.name: x for x in dag.nodes}
     assert [c.name for c in by["s_1"].children] == ["s'_2"]
     assert [c.name for c in by["s_2"].children] == ["s_1"]

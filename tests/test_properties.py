@@ -26,11 +26,14 @@ from adtsched import (
     preprocess_cases,
     apply_defence_config,
     serialize_adt,
+    unit_dag,
     validate_adt,
     verify_schedule,
 )
 from adtsched.preprocess import canonical_form, copy_dag
-from adtsched.scheduler import _nearest_seq_ancestors, _reshuffle
+from adtsched.scheduler import _nearest_seq_ancestors
+
+from reference_heap_packer import _reshuffle
 
 from conftest import TREES
 from rand_trees import random_adt, random_small_adt
@@ -68,7 +71,7 @@ def test_only_five_kinds_survive_preprocessing():
 
 def test_unit_steps_form_chains():
     for adt in forest(40, defence_prob=0.2):
-        dag = expand_sand(normalize_time(adt))
+        dag = unit_dag(expand_sand(normalize_time(adt)))
         for node in dag.nodes:
             if node.kind is DagKind.SEQ:
                 assert len(node.children) == 1
@@ -78,7 +81,7 @@ def test_unit_steps_form_chains():
 def test_unit_steps_per_origin_match_the_durations():
     for adt in forest(40):
         tunit = compute_time_unit(adt)
-        dag = expand_sand(normalize_time(adt))
+        dag = unit_dag(expand_sand(normalize_time(adt)))
         per_origin = {}
         for node in dag.nodes:
             if node.kind is DagKind.SEQ:
@@ -158,7 +161,7 @@ def test_depth_and_level_recurrences():
             for r in results:
                 if not r.feasible or r.n == 0:
                     continue
-                dag = r.variant.dag
+                dag = unit_dag(r.variant.dag)
                 for node in dag.nodes:
                     assert node.depth == depth_by_rule(node)
                     if node is dag.root:
@@ -205,7 +208,7 @@ def test_precedence_pass_finds_every_breach():
             for r in min_schedule(case.variants):
                 if not (r.feasible and r.n):
                     continue
-                dag = r.variant.dag
+                dag = unit_dag(r.variant.dag)
                 steps = [x for x in dag.nodes if x.kind is DagKind.SEQ]
                 nearest = _nearest_seq_ancestors(dag)
                 for _ in range(6):
@@ -222,7 +225,8 @@ def test_precedence_pass_finds_every_breach():
 
 def dag_shape(dag):
     """The DAG up to labels: each node's index, kind and children's
-    indices, in creation order."""
+    indices, in creation order, in the unit-step view."""
+    dag = unit_dag(dag)
     nodes = tuple((x.index, x.kind, tuple(c.index for c in x.children))
                   for x in dag.nodes)
     return dag.root.index, nodes
@@ -231,7 +235,7 @@ def dag_shape(dag):
 def schedules(results):
     """The distinct schedules in ``results``, up to labels."""
     return {(r.slots, r.agents, tuple(sorted(
-        (x.index, agent, slot) for x, (agent, slot) in r.assignment.items())))
+        (x.index, x.agent, x.slot) for x in unit_dag(r.variant.dag).nodes)))
             for r in results}
 
 
@@ -263,7 +267,7 @@ def test_agents_are_contiguous_from_one():
         for r in min_schedule(preprocess_cases(adt)[0].variants):
             if not r.feasible or r.n == 0:
                 continue
-            agents = {x.agent for x in r.variant.dag.nodes
+            agents = {x.agent for x in unit_dag(r.variant.dag).nodes
                       if x.kind is DagKind.SEQ}
             assert agents == set(range(1, r.agents + 1))
 
@@ -274,7 +278,7 @@ def test_reshuffle_preserves_slots_and_load():
         r = min_schedule(preprocess_cases(adt)[0].variants)[0]
         if not r.feasible or r.n == 0:
             continue
-        dag = r.variant.dag
+        dag = unit_dag(r.variant.dag)
         slot = rng.randint(1, r.slots)
         before_slots = {x.name: x.slot for x in dag.nodes}
         before_load = {}
@@ -297,7 +301,7 @@ def test_zero_duration_nodes_share_a_neighbouring_cell():
             for r in min_schedule(case.variants):
                 if not r.feasible or r.n == 0:
                     continue
-                for node in r.variant.dag.nodes:
+                for node in unit_dag(r.variant.dag).nodes:
                     if node.kind is DagKind.SEQ:
                         continue
                     cell = (node.agent, node.slot)

@@ -2,7 +2,7 @@ import csv
 import io
 import json
 
-from adtsched import min_schedule, preprocess
+from adtsched import analyse, min_schedule, preprocess, unit_dag
 from adtsched.report import (
     render_table,
     signature_heading,
@@ -12,6 +12,7 @@ from adtsched.report import (
 )
 
 from conftest import load_tree
+from rand_trees import chains_adt
 
 
 def results_for(name):
@@ -145,4 +146,34 @@ def test_rendered_cells_agree_with_the_assignment():
         for line in text.splitlines()[1:]:
             for cell in line.split("|")[1:]:
                 printed.extend(x.strip() for x in cell.split(",") if x.strip())
-        assert sorted(printed) == sorted(n.name for n in result.assignment)
+        assert sorted(printed) == sorted(
+            n.name for n in unit_dag(result.variant.dag).nodes)
+
+
+def rotating():
+    """Three chains on two agents: every chain runs in pieces."""
+    adt = chains_adt([5, 5, 6])
+    result, = analyse(adt, slots_override=8)
+    assert result.agents == 2
+    assert all(len(runs) > 1 for node, runs in result.assignment.items()
+               if node.weight)
+    return adt, result
+
+
+def test_json_names_every_step_of_a_chain_run_in_pieces():
+    adt, result = rotating()
+    records = json.loads(to_json([result], adt))["variants"][0]["assignment"]
+    got = sorted((r["node"], r["agent"], r["slot"]) for r in records)
+    assert got == sorted((x.name, x.agent, x.slot)
+                         for x in unit_dag(result.variant.dag).nodes)
+
+
+def test_table_places_every_step_of_a_chain_run_in_pieces():
+    adt, result = rotating()
+    rows = render_table(result).splitlines()[1:]
+    got = sorted((name.strip(), agent, int(row.split("|")[0]))
+                 for row in rows
+                 for agent, cell in enumerate(row.split("|")[1:], start=1)
+                 for name in cell.split(",") if name.strip())
+    assert got == sorted((x.name, x.agent, x.slot)
+                         for x in unit_dag(result.variant.dag).nodes)

@@ -18,12 +18,14 @@ from adtsched import (
     parse_adt,
     preprocess,
     schedule_candidate,
+    unit_dag,
     verify_schedule,
     zero_assign,
 )
 from adtsched import scheduler
 from adtsched.preprocess import copy_dag
-from adtsched.scheduler import _reshuffle
+
+from reference_heap_packer import _reshuffle
 
 from conftest import load_tree
 from rand_trees import chains_adt
@@ -38,6 +40,13 @@ def build(text):
     return expand_sand(normalize_time(parse_adt(text)))
 
 
+def unit_view(text):
+    """The unit-step view of ``build(text)``, with depth and level."""
+    dag = build(text)
+    compute_bounds(dag)
+    return unit_dag(dag)
+
+
 def seqs(dag):
     return [x for x in dag.nodes if x.kind is DagKind.SEQ]
 
@@ -46,9 +55,8 @@ def seqs(dag):
 
 
 def test_depth_recurrences():
-    dag = build("a: AND(b, c)\nb: ATTACK time=3\nc: OR(d, e)\n"
-                "d: ATTACK time=1\ne: ATTACK time=2\n")
-    compute_bounds(dag)
+    dag = unit_view("a: AND(b, c)\nb: ATTACK time=3\nc: OR(d, e)\n"
+                    "d: ATTACK time=1\ne: ATTACK time=2\n")
     by = {x.name: x for x in dag.nodes}
     assert by["b'"].depth == 0
     assert by["b_1"].depth == 1
@@ -59,8 +67,7 @@ def test_depth_recurrences():
 
 
 def test_level_counts_unit_steps_from_the_root():
-    dag = build("a: AND(b, c)\nb: ATTACK time=3\nc: ATTACK time=1\n")
-    compute_bounds(dag)
+    dag = unit_view("a: AND(b, c)\nb: ATTACK time=3\nc: ATTACK time=1\n")
     by = {x.name: x for x in dag.nodes}
     assert by["a'"].level == 0
     assert by["b_3"].level == 0  # zero-duration root adds no step
@@ -170,10 +177,20 @@ def test_candidate_run_succeeds_at_minimum():
     compute_bounds(dag)
     remain = schedule_candidate(dag, 5, 2)
     assert remain == 0
+    dag = unit_dag(dag)
     cells = {(x.agent, x.slot) for x in seqs(dag)}
     assert len(cells) == len(seqs(dag))  # no sharing
     # the node fields hold the assignment: every unit step and nothing else
     assert [x for x in dag.nodes if x.slot] == seqs(dag)
+
+
+def test_long_chains_are_placed_as_runs():
+    variant, = preprocess(chains_adt([1000, 999, 1]))
+    r, = min_schedule([variant])
+    assert (r.slots, r.agents) == (1000, 2)
+    assert {x.name: runs for x, runs in r.assignment.items() if x.weight} \
+        == {"c0_1": ((1, 1, 1000),), "c1_1": ((2, 2, 999),),
+            "c2_1": ((2, 1, 1),)}
 
 
 def test_analyse_keeps_the_fewest_agents_per_case(treasure):
@@ -242,7 +259,7 @@ def test_agents_never_exceed_upper_bound():
 def test_reshuffle_only_permutes_within_a_slot():
     v = variant_of("scaling-example")
     r = min_schedule([v])[0]
-    dag = r.variant.dag
+    dag = unit_dag(r.variant.dag)
     before = {x.name: (x.slot, x.agent) for x in dag.nodes}
     per_slot = {}
     for x in seqs(dag):
@@ -260,7 +277,7 @@ def test_reshuffle_only_permutes_within_a_slot():
 def test_zero_nodes_ride_along_with_a_neighbour():
     for name in ("treasure", "forestall", "gain-admin", "last"):
         r = min_schedule([variant_of(name)])[0]
-        for node in r.variant.dag.nodes:
+        for node in unit_dag(r.variant.dag).nodes:
             if node.kind is DagKind.SEQ:
                 continue
             spot = (node.agent, node.slot)
@@ -272,7 +289,7 @@ def test_zero_nodes_ride_along_with_a_neighbour():
 def test_zero_assign_adds_no_agents_or_slots():
     v = variant_of("forestall")
     r = min_schedule([v])[0]
-    dag = r.variant.dag
+    dag = unit_dag(r.variant.dag)
     max_slot = max(x.slot for x in dag.nodes)
     max_agent = max(x.agent for x in dag.nodes)
     assert max_slot == r.slots
@@ -291,7 +308,8 @@ def test_sequence_joint_rides_with_its_parent_chain():
 
 
 def tampered(result):
-    return copy_dag(result.variant.dag)
+    """A copy of the schedule to break, one node per unit step."""
+    return unit_dag(result.variant.dag)
 
 
 def test_verify_reports_collision():

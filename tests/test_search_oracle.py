@@ -7,7 +7,7 @@ same agent count and leave the same (agent, slot) on every node.
 import math
 import random
 
-from adtsched import compute_bounds, preprocess
+from adtsched import compute_bounds, preprocess, unit_dag
 from adtsched.preprocess import copy_dag
 from adtsched.scheduler import _min_agents
 
@@ -23,8 +23,8 @@ def searches(dag, slots):
     bounds = compute_bounds(dag, slots)
     agents = _min_agents(dag, bounds)
     old = reference_bisection._min_agents(twin, compute_bounds(twin, slots))
-    new = (agents, [(x.agent, x.slot) for x in dag.nodes])
-    ref = (old, [(x.agent, x.slot) for x in twin.nodes])
+    new = (agents, [(x.agent, x.slot) for x in unit_dag(dag).nodes])
+    ref = (old, [(x.agent, x.slot) for x in unit_dag(twin).nodes])
     return new, ref, agents == bounds.lower + 1
 
 

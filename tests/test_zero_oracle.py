@@ -1,12 +1,13 @@
 """The two-pass zero-duration placement against the sweep it replaced.
 
 After packing, at the minimal deadline and at twice that many slots, both
-must give every node the same (agent, slot).
+must give every node the same (agent, slot), read in the unit-step view.
 """
 
 import random
 
-from adtsched import DagKind, compute_bounds, min_schedule, preprocess
+from adtsched import (DagKind, compute_bounds, min_schedule, preprocess,
+                      unit_dag)
 
 from conftest import TREES, load_tree
 from rand_trees import random_small_adt
@@ -28,12 +29,13 @@ def disagreements(adt):
         least = compute_bounds(dag).slots
         for slots in (least, 2 * least):
             min_schedule([variant], slots_override=slots)
-            new = cells(dag)
-            for node in dag.nodes:
+            units = unit_dag(dag)
+            new = cells(units)
+            for node in units.nodes:
                 if node.kind is not DagKind.SEQ:
                     node.agent = node.slot = 0
-            sweep_zero_assign(dag)
-            if cells(dag) != new:
+            sweep_zero_assign(units)
+            if cells(units) != new:
                 found.append((variant.or_choices, slots))
     return found
 
