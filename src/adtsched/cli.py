@@ -9,7 +9,8 @@
 
 Exit codes: 0 on success (an impossible attack is still a successful
 analysis), 1 on usage errors, 2 on parse or validation errors, on trees
-the pipeline rejects and on a ``--table-file`` that cannot be written
+the pipeline rejects, on a table or ``--json`` output above
+``report.MAX_CELLS`` cells and on a ``--table-file`` that cannot be written
 (``error: <message>`` on stderr), 3 on an internal
 error (an invariant of the algorithm failed; a bug, reported as
 ``internal error: <message>`` on stderr).

@@ -59,6 +59,8 @@ class ParseError(Exception):
 
 def _strip_comment(line: str) -> str:
     # '#' inside a quoted attribute value does not start a comment.
+    if "#" not in line:
+        return line
     quoted = False
     for i, ch in enumerate(line):
         if ch == '"':

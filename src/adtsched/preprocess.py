@@ -167,13 +167,11 @@ def step_name(node: DagNode, j: int) -> str:
     return node.name if j == 1 else "%s_%d" % (node.origin, j)
 
 
-def step_names(node: DagNode, j: int, count: int) -> list[str]:
-    """Names of the ``count`` unit steps of the chain ``node`` from the
-    ``j``-th on."""
+def step_names(node: DagNode) -> list[str]:
+    """Names of the unit steps ``X_1 … X_w`` of the chain ``node``."""
     prefix = node.origin + "_"
-    names = [prefix + str(k) for k in range(j, j + count)]
-    if j == 1:
-        names[0] = node.name
+    names = [prefix + str(j) for j in range(1, node.weight + 1)]
+    names[0] = node.name
     return names
 
 

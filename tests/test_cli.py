@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -81,6 +82,31 @@ def test_one_report_per_defence_case(capsys):
     for marker in ("slots=2942 agents=1", "slots=4320 agents=1",
                    "slots=5762 agents=1"):
         assert marker in out
+
+
+def long_action_tree(tmp_path, duration):
+    tree = tmp_path / "long.adt"
+    tree.write_text("r: AND(a, b)\na: ATTACK time=%d\nb: ATTACK time=1\n"
+                    % duration)
+    return str(tree)
+
+
+@pytest.mark.parametrize("flags", [(), ("--elide",), ("--json",)])
+def test_output_above_the_cell_limit_exits_2_at_once(capsys, tmp_path,
+                                                     flags):
+    tree = long_action_tree(tmp_path, 10**9)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "schedule", tree, *flags)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "limit of 1000000;" in err
+
+
+def test_summary_of_a_billion_step_action_still_prints(capsys, tmp_path):
+    code, out, _ = run(capsys, "schedule", long_action_tree(tmp_path, 10**9),
+                       "--csv")
+    assert code == 0
+    assert out.splitlines()[1] == "1,,true,1000000000,2,1000000001,0"
 
 
 # ----------------------------------------------------------------- variants

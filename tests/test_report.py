@@ -2,7 +2,9 @@ import csv
 import io
 import json
 
-from adtsched import analyse, min_schedule, preprocess, unit_dag
+import pytest
+
+from adtsched import analyse, min_schedule, preprocess, report, unit_dag
 from adtsched.report import (
     render_table,
     signature_heading,
@@ -177,3 +179,25 @@ def test_table_places_every_step_of_a_chain_run_in_pieces():
                  for name in cell.split(",") if name.strip())
     assert got == sorted((x.name, x.agent, x.slot)
                          for x in unit_dag(result.variant.dag).nodes)
+
+
+def test_table_up_to_the_cell_limit_renders(monkeypatch):
+    _, results = results_for("scaling")
+    result = results[0]
+    monkeypatch.setattr(report, "MAX_CELLS", result.slots * result.agents)
+    assert render_table(result) and render_table(result, elide=True)
+    monkeypatch.setattr(report, "MAX_CELLS", result.slots * result.agents - 1)
+    for elide in (False, True):
+        with pytest.raises(ValueError, match="5 slots x 2 agents prints 10"):
+            render_table(result, elide=elide)
+
+
+def test_json_up_to_the_cell_limit_renders(monkeypatch):
+    adt, results = results_for("treasure")
+    records = sum(len(v["assignment"])
+                  for v in json.loads(to_json(results, adt))["variants"])
+    monkeypatch.setattr(report, "MAX_CELLS", records)
+    assert to_json(results, adt)
+    monkeypatch.setattr(report, "MAX_CELLS", records - 1)
+    with pytest.raises(ValueError, match="prints %d cells" % records):
+        to_json(results, adt)
