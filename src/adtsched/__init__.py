@@ -18,7 +18,6 @@ from .preprocess import (
     DefenceConfig,
     FAILED,
     NameCollision,
-    NonDivisibleDuration,
     OPERATING,
     Variant,
     apply_defence_config,
@@ -63,7 +62,7 @@ __all__ = [
     "ParseError", "parse_adt", "serialize_adt", "export_dot",
     "Dag", "DagNode", "DagKind", "DefenceConfig", "Variant", "Case",
     "OPERATING", "FAILED",
-    "AllZeroDurations", "NonDivisibleDuration", "NameCollision",
+    "AllZeroDurations", "NameCollision",
     "compute_time_unit", "normalize_time", "expand_sand",
     "enumerate_defence_variants", "apply_defence_config",
     "enumerate_or_variants", "preprocess_cases", "unit_dag",

@@ -19,7 +19,6 @@ error (an invariant of the algorithm failed; a bug, reported as
 from __future__ import annotations
 
 import argparse
-import logging
 import sys
 
 from .generator import (
@@ -241,8 +240,6 @@ _COMMANDS = {
 
 
 def main(args=None) -> int:
-    logging.basicConfig(level=logging.WARNING,
-                        format="%(levelname)s %(message)s")
     try:
         ns = arg_parser().parse_args(args)
     except SystemExit as stop:  # argparse exits; keep the int contract

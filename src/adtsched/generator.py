@@ -10,13 +10,11 @@ from __future__ import annotations
 
 import csv
 import io
-import logging
+import sys
 import time
 
 from .model import Adt, AdtNode, NodeKind, validate_adt
 from .scheduler import analyse
-
-log = logging.getLogger(__name__)
 
 
 class InvalidParams(ValueError):
@@ -111,7 +109,8 @@ def bench_row(depth: int, width: int, children: int) -> dict:
 
 def run_scalability(rows=None) -> str:
     """CSV over ``rows`` (default: the standard sweep).  A failing row is
-    logged and reported with dashes; the run continues."""
+    reported with dashes, and with a warning line on stderr; the run
+    continues."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\r\n")
     writer.writerow(["depth", "width", "children", "adtree",
@@ -123,7 +122,7 @@ def run_scalability(rows=None) -> str:
                              row["adtree"], row["agents"], row["slots"],
                              row["runtime_ms"]])
         except Exception as exc:  # keep sweeping, report the hole
-            log.warning("row (%d,%d,%d) failed: %s",
-                        depth, width, children, exc)
+            print("WARNING row (%d,%d,%d) failed: %s"
+                  % (depth, width, children, exc), file=sys.stderr)
             writer.writerow([depth, width, children, "-", "-", "-", "-"])
     return buffer.getvalue()

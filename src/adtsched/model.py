@@ -121,12 +121,12 @@ class ValidationError:
     message: str
 
 
-def preorder(adt: Adt, start: str | None = None) -> list[str]:
-    """Labels in depth-first preorder from ``start`` (default: the root),
-    following children in declaration order.  Assumes a validated tree
-    (no cycles); iterative, so label chains of any length are fine."""
+def preorder(adt: Adt) -> list[str]:
+    """Labels in depth-first preorder from the root, following children in
+    declaration order.  Assumes a validated tree (no cycles); iterative, so
+    label chains of any length are fine."""
     out: list[str] = []
-    stack = [start if start is not None else adt.root]
+    stack = [adt.root]
     while stack:
         label = stack.pop()
         out.append(label)
@@ -199,57 +199,38 @@ def validate_adt(adt: Adt) -> list[ValidationError]:
         # are absent; report what we have rather than crash on bad input.
         return errors
 
-    # Cycle check: iterative DFS with colouring.  A tree defined via labels
-    # can also express cycles, so this cannot be skipped.
-    WHITE, GREY, BLACK = 0, 1, 2
-    colour = {label: WHITE for label in adt.nodes}
-    stack: list[tuple[str, bool]] = [(adt.root, False)]
+    # Every label now has at most one parent, so a cycle that the root
+    # reaches runs through the root, and a walk from the root meets every
+    # other label once.  One walk therefore derives the roles (the root
+    # attacks; the second child of a counter gate is on the other side;
+    # everything else inherits) and finds the cycle, if any, when it meets
+    # the root again; the labels it never meets are unreachable.
+    derived: dict[str, Role] = {}
+    stack = [(adt.root, Role.ATTACK)]
     while stack:
-        label, done = stack.pop()
-        if done:
-            colour[label] = BLACK
-            continue
-        if colour[label] == GREY:
-            errors.append(ValidationError(
-                "cycle", label, "%r is its own descendant" % label))
-            return errors
-        if colour[label] == BLACK:
-            continue
-        colour[label] = GREY
-        stack.append((label, True))
-        for child in reversed(adt.nodes[label].children):
-            if colour[child] == GREY:
-                errors.append(ValidationError(
-                    "cycle", child, "%r is its own descendant" % child))
-                return errors
-            if colour[child] == WHITE:
-                stack.append((child, False))
-
-    for label in adt.nodes:
-        if colour[label] == WHITE:
-            errors.append(ValidationError(
-                "unreachable-node", label,
-                "%r is not reachable from root %r" % (label, adt.root)))
-
-    if errors:
-        return errors
-
-    # Derive roles: the root attacks; the second child of a counter gate is
-    # on the other side; everything else inherits.
-    derived: dict[str, Role] = {adt.root: Role.ATTACK}
-    for label in preorder(adt):
+        label, role = stack.pop()
+        if label in derived:
+            return [ValidationError(
+                "cycle", label, "%r is its own descendant" % label)]
+        derived[label] = role
         node = adt.nodes[label]
-        role = derived[label]
-        if node.kind in COUNTER_KINDS and role is Role.DEFENCE:
-            errors.append(ValidationError(
-                "counter-in-defence", label,
-                "counter gate %r sits inside a defence subtree (unsupported)"
-                % label))
-        for i, child in enumerate(node.children):
-            child_role = role
-            if node.kind in COUNTER_KINDS and i == 1:
-                child_role = role.flipped()
-            derived[child] = child_role
+        if node.kind in COUNTER_KINDS:
+            if role is Role.DEFENCE:
+                errors.append(ValidationError(
+                    "counter-in-defence", label,
+                    "counter gate %r sits inside a defence subtree "
+                    "(unsupported)" % label))
+            stack.append((node.children[1], role.flipped()))
+            stack.append((node.children[0], role))
+        else:
+            stack.extend((child, role) for child in reversed(node.children))
+
+    unreachable = [ValidationError(
+        "unreachable-node", label,
+        "%r is not reachable from root %r" % (label, adt.root))
+        for label in adt.nodes if label not in derived]
+    if unreachable:
+        return unreachable
 
     for label, node in adt.nodes.items():
         if node.kind is NodeKind.LEAF and node.role is not derived[label]:

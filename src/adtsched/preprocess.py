@@ -20,9 +20,10 @@ side and its defence subtrees, then
    (:func:`_or_selections`), and merges trees that keep the same tree
    nodes into one case; on request it keeps one selection per class of
    selections whose DAGs match node for node, up to labels,
-3. builds each case's variants once: every timed node becomes one chain
-   node, weighted by its number of unit steps, above a zero-duration
-   remnant, and :func:`expand_sand` rewrites ordered conjunctions into
+3. builds each case's variants once, each in one pass over its shape in
+   preorder (:func:`_build`): every timed node becomes one chain node,
+   weighted by its number of unit steps, above a zero-duration remnant,
+   and :func:`expand_sand` rewrites ordered conjunctions into
    cross-links.
 
 The stages also stand alone: :func:`apply_defence_config` builds one
@@ -56,10 +57,6 @@ DefenceConfig = dict
 
 class AllZeroDurations(ValueError):
     """Every node has duration 0; there is no time unit to normalise by."""
-
-
-class NonDivisibleDuration(ValueError):
-    """A duration is not a multiple of the chosen time unit."""
 
 
 class NameCollision(ValueError):
@@ -304,57 +301,49 @@ def compute_time_unit(adt: Adt) -> int:
     return unit
 
 
-def _build(adt: Adt, tunit: int, shape: dict, names: dict) -> Dag:
-    """DAG of the part of ``adt`` that ``shape`` (label -> (DagKind,
-    children)) reaches from the root.  Every node of duration t becomes one
-    chain of t/tunit unit steps ``X_1 .. X_k`` (a ``SEQ`` node of that
+def _weights(adt: Adt) -> dict:
+    """Each label's duration in unit steps of :func:`compute_time_unit`."""
+    tunit = compute_time_unit(adt)
+    return {label: node.duration // tunit
+            for label, node in adt.nodes.items()}
+
+
+def _build(shape: dict, root: str, weight: dict) -> Dag:
+    """DAG of the tree ``shape`` (label -> (DagKind, children), in preorder
+    from ``root``), in one pass over it.  Every label of ``weight`` k > 0
+    becomes one chain of k unit steps ``X_1 .. X_k`` (a ``SEQ`` node of that
     weight, named ``X_1``) feeding into a zero-duration remnant ``X'`` with
-    the shape's kind and children.  Node creation order is depth-first over
-    the shape, which fixes all scheduling tie-breaks downstream.  ``names``
-    (label -> (``X'``, ``X_1``, k)) is filled as labels are met, so the DAGs
-    built from one table share their name strings."""
+    the shape's kind and children; a label of weight 0 is its remnant alone.
+    Each is linked under its parent's remnant as it is met, and preorder
+    meets a node's children left to right, so creation order, which fixes
+    all scheduling tie-breaks downstream, and edge order both follow the
+    shape."""
     dag = Dag()
-    tops: dict[str, DagNode] = {}
-    remnants: dict[str, DagNode] = {}
-    order, stack = [], [adt.root]
-    while stack:
-        label = stack.pop()
-        order.append(label)
-        stack.extend(reversed(shape[label][1]))
-    for label in order:
-        entry = names.get(label)
-        if entry is None:
-            duration = adt.nodes[label].duration
-            if duration % tunit:
-                raise NonDivisibleDuration(
-                    "duration %d of %r is not a multiple of %d"
-                    % (duration, label, tunit))
-            entry = names[label] = (label + "'", label + "_1",
-                                    duration // tunit)
-        remnant = dag.new_node(entry[0], label, shape[label][0])
-        top = remnant
-        if entry[2]:
-            top = dag.new_node(entry[1], label, DagKind.SEQ, entry[2])
+    above: dict = {}  # label -> its parent's remnant
+    for label, (kind, kids) in shape.items():
+        remnant = top = dag.new_node(label + "'", label, kind)
+        if weight[label]:
+            top = dag.new_node(label + "_1", label, DagKind.SEQ,
+                               weight[label])
             link(top, remnant)
-        remnants[label] = remnant
-        tops[label] = top
-    for label in order:
-        for child in shape[label][1]:
-            link(remnants[label], tops[child])
-    dag.root = tops[adt.root]
+        if label == root:
+            dag.root = top
+        else:
+            link(above.pop(label), top)
+        for child in kids:
+            above[child] = remnant
     return dag
 
 
-def normalize_time(adt: Adt, tunit: int | None = None) -> Dag:
+def normalize_time(adt: Adt) -> Dag:
     """The whole tree, defence subtrees and counter gates included, as a
-    DAG: every node of duration t becomes a chain of t/tunit unit steps
-    ``X_1 .. X_k`` feeding into a zero-duration remnant ``X'`` that keeps
-    the node's kind and original children (see :func:`_build`)."""
-    if tunit is None:
-        tunit = compute_time_unit(adt)
-    shape = {label: (_KIND_OF[node.kind], node.children)
-             for label, node in adt.nodes.items()}
-    return _build(adt, tunit, shape, {})
+    DAG: every node of duration t becomes a chain of t/u unit steps
+    ``X_1 .. X_k``, u the time unit (:func:`compute_time_unit`), feeding
+    into a zero-duration remnant ``X'`` that keeps the node's kind and
+    original children (see :func:`_build`)."""
+    shape = {label: (_KIND_OF[adt.nodes[label].kind],
+                     adt.nodes[label].children) for label in preorder(adt)}
+    return _build(shape, adt.root, _weights(adt))
 
 
 def _subtree_leaves(top: DagNode) -> list[DagNode]:
@@ -561,7 +550,8 @@ def apply_defence_config(adt: Adt, config: DefenceConfig) -> Dag:
     shape = tree.fixed(config)[1]
     if not shape:
         return Dag()
-    return expand_sand(_build(adt, tree.tunit, shape, {}))
+    return expand_sand(_build(dict(reversed(shape.items())), adt.root,
+                              tree.weight))
 
 
 def canonical_form(dag: Dag) -> str:
@@ -598,7 +588,11 @@ class Variant:
     signature: dict
     or_choices: dict
     dag: Dag
-    feasible: bool
+
+    @property
+    def feasible(self) -> bool:
+        """False for the empty DAG of an impossible attack."""
+        return self.dag.root is not None
 
 
 @dataclass
@@ -625,10 +619,10 @@ class Case:
 class _Tree:
     """What every defence outcome of one tree shares: the attack and
     defence sides, the defence-subtree roots in gate order and in block
-    order (see :func:`_block_order`), the resolved nodes met so far, the
-    time unit and each node's duration in unit steps.  ``clash`` is true
-    when a SAND ``s`` and a label ``s'`` both exist, so that
-    :func:`expand_sand` may reject some variants by their names alone."""
+    order (see :func:`_block_order`), the resolved nodes met so far and
+    each node's duration in unit steps.  ``clash`` is true when a SAND
+    ``s`` and a label ``s'`` both exist, so that :func:`expand_sand` may
+    reject some variants by their names alone."""
 
     def __init__(self, adt: Adt):
         self.adt = adt
@@ -641,13 +635,8 @@ class _Tree:
                          for label, node in adt.nodes.items())
 
     @functools.cached_property
-    def tunit(self) -> int:
-        return compute_time_unit(self.adt)
-
-    @functools.cached_property
     def weight(self) -> dict:
-        return {label: node.duration // self.tunit
-                for label, node in self.adt.nodes.items()}
+        return _weights(self.adt)
 
     def key(self, label: str, kind: DagKind, kids: tuple) -> int:
         """Interned key of a resolved node: equal keys, equal subtrees.
@@ -763,9 +752,11 @@ def _or_selections(shape: dict, root: str, weight: dict,
     combination once its time plus its later children's fastest times
     exceeds R.  Every kept entry extends to a best selection, so the work
     is bounded by the tree and the output, and the nodes with a budget are
-    exactly those that some selection keeps.  ``or_choices`` lists the
-    chosen gates in preorder; a variant shape lists the nodes reachable
-    from the root, each chosen OR keeping only its chosen child.
+    exactly those that some selection keeps.  A selection carries its
+    choices as one flat tuple of ``(gate, child)`` pairs in preorder, so
+    ``or_choices`` lists the chosen gates in preorder; a variant shape
+    lists the nodes reachable from the root, in preorder (the order
+    :func:`_build` takes), each chosen OR keeping only its chosen child.
 
     With ``classes`` the third pass also keys each budgeted node by its
     kind, its weight and its children's keys in their own order, an OR
@@ -800,8 +791,8 @@ def _or_selections(shape: dict, root: str, weight: dict,
             elif kind is not DagKind.OR or fastest[child] <= rest:
                 budget[child] = rest
 
-    # a selection is (time, chosen); chosen is (), (gate, child, chosen)
-    # or (chosen, chosen), read left to right
+    # a selection is (time, chosen); chosen is its (gate, child) pairs in
+    # preorder
     picks: dict = {}
     keys: dict = {}
     interned: dict = {}
@@ -817,7 +808,7 @@ def _or_selections(shape: dict, root: str, weight: dict,
                 for child in kids:
                     first.setdefault(keys[child], child)
                 entered = list(first.values())
-            partial = [(t, (label, child, chosen))
+            partial = [(t, ((label, child),) + chosen)
                        for child in entered
                        for t, chosen in picks[child]]
         else:
@@ -826,7 +817,7 @@ def _or_selections(shape: dict, root: str, weight: dict,
             partial = [(0, ())]
             for child in kids:
                 room += fastest[child]  # R minus later children's fastest
-                partial = [(t + u if sand else max(t, u), (chosen, more))
+                partial = [(t + u if sand else max(t, u), chosen + more)
                            for t, chosen in partial
                            for u, more in picks[child]
                            if not sand or t + u <= room]
@@ -838,21 +829,14 @@ def _or_selections(shape: dict, root: str, weight: dict,
 
     out = []
     for _, chosen in picks[root]:
-        choices, stack = {}, [chosen]
-        while stack:  # read chosen left to right
-            item = stack.pop()
-            if len(item) == 3:
-                choices[item[0]] = item[1]
-                stack.append(item[2])
-            else:
-                stack += reversed(item)
+        choices = dict(chosen)
         variant, stack = {}, [root]
         while stack:
             label = stack.pop()
             child = choices.get(label)
             entry = (DagKind.OR, [child]) if child else shape[label]
             variant[label] = entry
-            stack.extend(entry[1])
+            stack.extend(reversed(entry[1]))
         out.append((choices, variant))
     return out, frozenset(budget)
 
@@ -865,19 +849,17 @@ def enumerate_or_variants(adt: Adt, config: DefenceConfig) -> list[Variant]:
     tree = _Tree(adt)
     signature, shape = tree.fixed(config)
     return _variants(tree, config, signature,
-                     _or_selections(shape, adt.root, tree.weight)[0], {})
+                     _or_selections(shape, adt.root, tree.weight)[0])
 
 
 def _variants(tree: _Tree, config: DefenceConfig, signature: dict,
-              selections: list, names: dict) -> list[Variant]:
+              selections: list) -> list[Variant]:
     """Build the variants of the ``selections`` that ``_or_selections``
-    found for the outcome of ``config``, taking generated names from the
-    table ``names`` (see :func:`_build`)."""
+    found for the outcome of ``config``."""
     if not selections:
-        return [Variant(config, signature, {}, Dag(), False)]
-    return [Variant(config, signature, choices,
-                    expand_sand(_build(tree.adt, tree.tunit, shape, names)),
-                    True)
+        return [Variant(config, signature, {}, Dag())]
+    return [Variant(config, signature, choices, expand_sand(
+                _build(shape, tree.adt.root, tree.weight)))
             for choices, shape in selections]
 
 
@@ -908,7 +890,6 @@ def preprocess_cases(adt: Adt, all_variants: bool = True) -> list[Case]:
     cases: list[Case] = []
     by_labels: dict = {}
     by_key: dict = {}  # every distinct resolved tree -> its case
-    names: dict = {}
     merge = functools.partial(_merge_signatures, tree, by_key)
     for key, statuses in sorted(found.items(), key=lambda item: item[1]):
         selections, labels = _or_selections(
@@ -918,8 +899,7 @@ def preprocess_cases(adt: Adt, all_variants: bool = True) -> list[Case]:
             config = _config(adt, tree.blocks, statuses)
             signature = tree.signature(statuses)
             case = Case(signature, config,
-                        _variants(tree, config, signature, selections,
-                                  names),
+                        _variants(tree, config, signature, selections),
                         merge)
             cases.append(case)
             by_labels[labels] = case

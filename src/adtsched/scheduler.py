@@ -344,13 +344,16 @@ def zero_assign(dag: Dag) -> None:
 @dataclass
 class ScheduleResult:
     variant: Variant
-    feasible: bool
     slots: int
     agents: int
     bounds: Bounds | None
     #: node -> its ``(agent, first slot, length)`` runs (see
     #: :func:`~adtsched.preprocess.node_runs`)
     assignment: dict = field(default_factory=dict)
+
+    @property
+    def feasible(self) -> bool:
+        return self.variant.feasible
 
     @property
     def n(self) -> int:
@@ -392,11 +395,9 @@ def _min_agents(dag: Dag, bounds: Bounds) -> int:
 
 def _schedule_variant(variant: Variant,
                       slots_override: int | None) -> ScheduleResult:
-    if not variant.feasible:
-        return ScheduleResult(variant, False, 0, 0, None)
     dag = variant.dag
-    if dag.n == 0:
-        return ScheduleResult(variant, True, 0, 0, None)
+    if dag.n == 0:  # an impossible attack, or nothing to schedule
+        return ScheduleResult(variant, 0, 0, None)
     bounds = compute_bounds(dag, slots_override)
     agents = _min_agents(dag, bounds)
     zero_assign(dag)
@@ -407,8 +408,7 @@ def _schedule_variant(variant: Variant,
     # every node is placed, so node_runs reduces to this
     assignment = {x: x.runs or ((x.agent, x.slot, x.weight),)
                   for x in dag.nodes}
-    return ScheduleResult(variant, True, bounds.slots, agents, bounds,
-                          assignment)
+    return ScheduleResult(variant, bounds.slots, agents, bounds, assignment)
 
 
 def min_schedule(variants: list,

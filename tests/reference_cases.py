@@ -76,7 +76,7 @@ def reference_cases(adt, all_variants=True):
     clash = any(node.kind is NodeKind.SAND and label + "'" in adt.nodes
                 for label, node in adt.nodes.items())
     classes = not all_variants and not clash
-    cases, by_labels, names = [], {}, {}
+    cases, by_labels = [], {}
     for config in reference_defence_variants(adt):
         signature = _signature(defence, roots, config)
         shape = reference_resolve(signature, attack)
@@ -87,7 +87,7 @@ def reference_cases(adt, all_variants=True):
             known["merged_signatures"].append(signature)
             continue
         variants = [(choices, [x.name for x in expand_sand(
-                        _build(adt, tunit, variant, names)).nodes])
+                        _build(variant, adt.root, weight)).nodes])
                     for choices, variant in selections] or [({}, [])]
         case = {"signature": signature, "merged_signatures": [signature],
                 "config": config, "variants": variants}

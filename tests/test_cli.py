@@ -501,3 +501,14 @@ def test_identical_invocations_are_byte_identical(capsys, argv):
     first = run(capsys, *argv)
     second = run(capsys, *argv)
     assert first == second
+
+
+def test_import_leaves_logging_out():
+    # a fresh isolated interpreter, as the benchmark's import probe uses
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); "
+             "import adtsched.cli; print('logging' in sys.modules)")
+    done = subprocess.run([sys.executable, "-I", "-c", probe, src],
+                          capture_output=True, text=True, timeout=60,
+                          check=True)
+    assert done.stdout == "False\n"

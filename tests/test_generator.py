@@ -89,3 +89,11 @@ def test_scalability_keeps_going_past_a_bad_row(caplog):
     rows = list(csv.reader(io.StringIO(text)))
     assert rows[1] == ["1", "0", "0", "-", "-", "-", "-"]
     assert rows[2][:6] == ["2", "2", "2", "5", "2", "3"]
+
+
+def test_bad_row_warns_on_stderr(capsys):
+    text = run_scalability(rows=[(1, 0, 0), (2, 2, 2)])
+    assert capsys.readouterr().err == (
+        "WARNING row (1,0,0) failed: need depth >= 2, children >= 2, "
+        "width >= children (got 1, 0, 0)\n")
+    assert text.splitlines()[2].startswith("2,2,2,5,2,3,")

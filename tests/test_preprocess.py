@@ -13,7 +13,6 @@ from adtsched import (
     Dag,
     DagKind,
     NameCollision,
-    NonDivisibleDuration,
     apply_defence_config,
     compute_time_unit,
     defence_signature,
@@ -61,12 +60,6 @@ def test_time_unit_is_gcd_of_durations():
 def test_all_zero_durations_rejected():
     with pytest.raises(AllZeroDurations):
         compute_time_unit(parse_adt("a: ATTACK\n"))
-
-
-def test_non_divisible_duration_rejected():
-    adt = parse_adt("a: AND(b, c)\nb: ATTACK time=10\nc: ATTACK time=4\n")
-    with pytest.raises(NonDivisibleDuration):
-        normalize_time(adt, tunit=4)
 
 
 def test_explicit_coarser_unit():
