@@ -31,7 +31,7 @@ them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from enum import Enum
 
 
@@ -60,8 +60,20 @@ class Role(Enum):
         return Role.DEFENCE if self is Role.ATTACK else Role.ATTACK
 
 
-@dataclass
-class AdtNode:
+class _Record:
+    """Field-wise ``==`` and ``repr`` over the instance attributes."""
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            "%s=%r" % item for item in vars(self).items()))
+
+
+class AdtNode(_Record):
     """One labelled node.  ``children`` holds labels, in declaration order.
 
     ``role`` is meaningful for leaves at construction time (it states which
@@ -70,17 +82,20 @@ class AdtNode:
     declared leaf roles against it, and stores the result.
     """
 
-    label: str
-    kind: NodeKind
-    children: list[str] = field(default_factory=list)
-    duration: int = 0
-    cost: int = 0
-    condition: str | None = None
-    role: Role = Role.ATTACK
+    def __init__(self, label: str, kind: NodeKind,
+                 children: list[str] | None = None, duration: int = 0,
+                 cost: int = 0, condition: str | None = None,
+                 role: Role = Role.ATTACK):
+        self.label = label
+        self.kind = kind
+        self.children = [] if children is None else children
+        self.duration = duration
+        self.cost = cost
+        self.condition = condition
+        self.role = role
 
 
-@dataclass
-class Adt:
+class Adt(_Record):
     """A whole tree: a root label plus a label -> node mapping.
 
     ``nodes`` preserves definition order, which downstream code uses as a
@@ -88,16 +103,16 @@ class Adt:
     only order that carries meaning.
     """
 
-    root: str
-    nodes: dict[str, AdtNode]
+    def __init__(self, root: str, nodes: dict[str, AdtNode]):
+        self.root = root
+        self.nodes = nodes
 
     def node(self, label: str) -> AdtNode:
         return self.nodes[label]
 
 
-@dataclass
-class ValidationError:
-    """One structural problem, as data.
+class ValidationError(namedtuple("ValidationError", "kind label message")):
+    """One structural problem, as a read-only record.
 
     ``kind`` is a stable machine-readable tag:
 
@@ -116,9 +131,7 @@ class ValidationError:
     * ``negative-duration``  -- duration below zero
     """
 
-    kind: str
-    label: str
-    message: str
+    __slots__ = ()
 
 
 def preorder(adt: Adt) -> list[str]:

@@ -35,9 +35,8 @@ lists the variants of every case.
 from __future__ import annotations
 
 import functools
-import hashlib
 import itertools
-from dataclasses import dataclass, field
+import math
 from enum import Enum
 
 from .model import (
@@ -92,7 +91,6 @@ _KIND_OF = {
 }
 
 
-@dataclass(eq=False, slots=True)
 class DagNode:
     """A DAG node.  ``children`` are what the node waits for; ``parents`` is
     kept symmetric at all times.  ``index`` is the creation number and serves
@@ -112,18 +110,25 @@ class DagNode:
     ``(agent, first slot, length)`` runs, in ascending slots; it is left
     empty when the chain ran whole on ``agent`` from ``slot`` on."""
 
-    name: str
-    origin: str
-    kind: DagKind
-    index: int
-    weight: int = 0
-    children: list["DagNode"] = field(default_factory=list, repr=False)
-    parents: list["DagNode"] = field(default_factory=list, repr=False)
-    depth: int = 0
-    level: int = 0
-    agent: int = 0
-    slot: int = 0
-    runs: tuple = ()
+    __slots__ = ("name", "origin", "kind", "index", "weight", "children",
+                 "parents", "depth", "level", "agent", "slot", "runs")
+
+    def __init__(self, name: str, origin: str, kind: DagKind, index: int,
+                 weight: int = 0, children: list | None = None,
+                 parents: list | None = None, depth: int = 0, level: int = 0,
+                 agent: int = 0, slot: int = 0, runs: tuple = ()):
+        self.name = name
+        self.origin = origin
+        self.kind = kind
+        self.index = index
+        self.weight = weight
+        self.children = [] if children is None else children
+        self.parents = [] if parents is None else parents
+        self.depth = depth
+        self.level = level
+        self.agent = agent
+        self.slot = slot
+        self.runs = runs
 
     def __repr__(self):
         return "DagNode(%r)" % self.name
@@ -291,8 +296,6 @@ def unit_dag(dag: Dag) -> Dag:
 def compute_time_unit(adt: Adt) -> int:
     """Greatest common divisor of all non-zero durations (defence side
     included), i.e. the largest unit every duration is a multiple of."""
-    import math
-
     unit = 0
     for node in adt.nodes.values():
         unit = math.gcd(unit, node.duration)
@@ -558,6 +561,7 @@ def canonical_form(dag: Dag) -> str:
     """Structure digest: equal for DAGs that differ only in child order or
     node identity.  The pipeline compares variants by their label sets
     instead (see :func:`preprocess_cases`)."""
+    import hashlib  # local: no CLI path calls this, so imports skip it
     if dag.root is None:
         return "empty"
     digest: dict[int, str] = {}
@@ -580,14 +584,15 @@ def canonical_form(dag: Dag) -> str:
     return digest[id(dag.root)]
 
 
-@dataclass
 class Variant:
     """One fully determined DAG: a defence outcome plus one choice per OR."""
 
-    defences: DefenceConfig
-    signature: dict
-    or_choices: dict
-    dag: Dag
+    def __init__(self, defences: DefenceConfig, signature: dict,
+                 or_choices: dict, dag: Dag):
+        self.defences = defences
+        self.signature = signature
+        self.or_choices = or_choices
+        self.dag = dag
 
     @property
     def feasible(self) -> bool:
@@ -595,7 +600,6 @@ class Variant:
         return self.dag.root is not None
 
 
-@dataclass
 class Case:
     """All variants sharing one defence outcome.  ``merged_signatures``
     lists every outcome signature that leaves the same variants, in the
@@ -603,11 +607,13 @@ class Case:
     cases of one :func:`preprocess_cases` call on its first read, since it
     takes one pass per outcome."""
 
-    signature: dict
-    config: DefenceConfig
-    variants: list
-    _merge: object = field(default=None, repr=False, compare=False)
-    _merged: list | None = field(default=None, repr=False, compare=False)
+    def __init__(self, signature: dict, config: DefenceConfig,
+                 variants: list, _merge=None, _merged: list | None = None):
+        self.signature = signature
+        self.config = config
+        self.variants = variants
+        self._merge = _merge
+        self._merged = _merged
 
     @property
     def merged_signatures(self) -> list:

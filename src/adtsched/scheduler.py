@@ -19,7 +19,7 @@ schedule is verified before it is returned.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from heapq import heappop, heappush
 
 from .model import Adt
@@ -45,11 +45,9 @@ class TooLarge(ValueError):
     """Instance above the brute-force limit."""
 
 
-@dataclass
-class Bounds:
-    lower: int  # exclusive: this many agents provably cannot finish in time
-    upper: int  # inclusive: this many agents always suffice
-    slots: int
+#: ``lower`` is exclusive: this many agents provably cannot finish in time;
+#: ``upper`` is inclusive: this many agents always suffice.
+Bounds = namedtuple("Bounds", "lower upper slots")
 
 
 def compute_bounds(dag: Dag, slots_override: int | None = None) -> Bounds:
@@ -341,15 +339,16 @@ def zero_assign(dag: Dag) -> None:
             raise InternalError("%s left without a slot" % node.name)
 
 
-@dataclass
 class ScheduleResult:
-    variant: Variant
-    slots: int
-    agents: int
-    bounds: Bounds | None
-    #: node -> its ``(agent, first slot, length)`` runs (see
-    #: :func:`~adtsched.preprocess.node_runs`)
-    assignment: dict = field(default_factory=dict)
+    def __init__(self, variant: Variant, slots: int, agents: int,
+                 bounds: Bounds | None, assignment: dict | None = None):
+        self.variant = variant
+        self.slots = slots
+        self.agents = agents
+        self.bounds = bounds
+        #: node -> its ``(agent, first slot, length)`` runs (see
+        #: :func:`~adtsched.preprocess.node_runs`)
+        self.assignment = {} if assignment is None else assignment
 
     @property
     def feasible(self) -> bool:
@@ -436,11 +435,7 @@ def analyse(adt: Adt, slots_override: int | None = None,
     return selected
 
 
-@dataclass
-class Violation:
-    kind: str
-    node: str
-    message: str
+Violation = namedtuple("Violation", "kind node message")
 
 
 def _nearest_seq_ancestors(dag: Dag) -> dict:

@@ -4,7 +4,11 @@ import importlib
 import pathlib
 import re
 
+import pytest
+
 import adtsched
+from adtsched import (Adt, AdtNode, Bounds, DagKind, DagNode, NodeKind, Role,
+                      ScheduleResult, ValidationError, Violation)
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -82,3 +86,26 @@ def test_traced_functions_exist():
     for module, function, *_ in targets:
         assert hasattr(importlib.import_module(module), function), \
             (module, function)
+
+
+def test_data_types_keep_their_contract():
+    a, b = AdtNode("a", NodeKind.LEAF), AdtNode("a", NodeKind.LEAF)
+    assert (a.children, a.duration, a.cost, a.condition, a.role) \
+        == ([], 0, 0, None, Role.ATTACK)
+    assert a == b and a.children is not b.children
+    b.children.append("x")
+    assert a != b and a.children == []
+    assert Adt("a", {"a": AdtNode("a", NodeKind.LEAF)}) == Adt("a", {"a": a})
+    assert Adt("a", {"a": a}) != Adt("a", {"a": b})
+    first, second = (ScheduleResult(None, 0, 0, None) for _ in range(2))
+    assert first.assignment == {}
+    assert first.assignment is not second.assignment
+    for record in (ValidationError("cycle", "r", "m"), Bounds(1, 2, 3),
+                   Violation("order", "x", "m")):
+        assert record == type(record)(*record)
+        assert record != type(record)(*record[:2], "other")
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], "other")
+    x, y = (DagNode("x", "x", DagKind.LEAF, 0) for _ in range(2))
+    assert x == x and x != y and not hasattr(x, "__dict__")
+    assert x.children == [] and x.children is not y.children

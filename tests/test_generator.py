@@ -84,7 +84,7 @@ def test_scalability_csv_layout():
     assert rows[2][:6] == ["2", "4", "2", "7", "3", "4"]
 
 
-def test_scalability_keeps_going_past_a_bad_row(caplog):
+def test_scalability_keeps_going_past_a_bad_row():
     text = run_scalability(rows=[(1, 0, 0), (2, 2, 2)])
     rows = list(csv.reader(io.StringIO(text)))
     assert rows[1] == ["1", "0", "0", "-", "-", "-", "-"]
