@@ -25,6 +25,7 @@ from __future__ import annotations
 import re
 
 from .model import Adt, AdtNode, NodeKind, Role
+from .preprocess import Dag, DagKind, unit_dag
 
 LABEL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
 _GATE_RE = re.compile(r"^([A-Za-z]+)\s*\(([^()]*)\)\s*(.*)$")
@@ -250,8 +251,6 @@ def export_dot(obj) -> str:
     points, triangles for leaves, boxes for gates.  Edges point from a node
     to what it directly waits for.
     """
-    from .preprocess import Dag, DagKind, unit_dag
-
     lines = []
     if isinstance(obj, Adt):
         lines.append("digraph adt {")
