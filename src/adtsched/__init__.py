@@ -27,7 +27,6 @@ from .preprocess import (
     enumerate_or_variants,
     expand_sand,
     normalize_time,
-    preprocess,
     preprocess_cases,
     unit_dag,
 )

@@ -29,8 +29,7 @@ from .generator import (
 )
 from .model import validate_adt
 from .parser import ParseError, export_dot, parse_adt, serialize_adt
-from .preprocess import (expand_sand, normalize_time, preprocess,
-                         preprocess_cases)
+from .preprocess import expand_sand, normalize_time, preprocess_cases
 from .report import (
     render_table,
     signature_heading,
@@ -190,7 +189,8 @@ def cmd_export(ns) -> int:
         except ValueError:
             print("error: bad variant index %r" % stage, file=sys.stderr)
             return 1
-        variants = preprocess(adt)
+        variants = [v for case in preprocess_cases(adt, all_variants=True)
+                    for v in case.variants]
         if not 1 <= index <= len(variants):
             print("error: variant index %d out of range 1..%d"
                   % (index, len(variants)), file=sys.stderr)

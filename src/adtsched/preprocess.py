@@ -27,9 +27,8 @@ side and its defence subtrees, then
    cross-links.
 
 The stages also stand alone: :func:`apply_defence_config` builds one
-outcome's DAG, :func:`enumerate_or_variants` one outcome's variants,
-:func:`normalize_time` the whole unresolved tree, and :func:`preprocess`
-lists the variants of every case.
+outcome's DAG, :func:`enumerate_or_variants` one outcome's variants and
+:func:`normalize_time` the whole unresolved tree.
 """
 
 from __future__ import annotations
@@ -349,31 +348,20 @@ def normalize_time(adt: Adt) -> Dag:
     return _build(shape, adt.root, _weights(adt))
 
 
-def _subtree_leaves(top: DagNode) -> list[DagNode]:
-    """Childless nodes reachable from ``top``, in first-visit order."""
-    out, seen, stack = [], set(), [top]
-    while stack:
-        node = stack.pop()
-        if node in seen:
-            continue
-        seen.add(node)
-        if not node.children:
-            out.append(node)
-        else:
-            stack.extend(reversed(node.children))
-    return out
-
-
 def expand_sand(dag: Dag) -> Dag:
     """Replace every ordered-conjunction remnant with zero-duration links
     that force its child subtrees to run one after another.
 
-    For segments T_1 .. T_k a link node ``X'_i`` is placed below T_i and
-    above nothing -- instead every leaf of T_{i+1} gains ``X'_i`` as an extra
-    child, so no step of T_{i+1} can start before all of T_i is done.
-    ``X'_k`` takes over the remnant's parents.  A single-segment remnant
-    simply turns into a join point.  Inner remnants are expanded before the
-    ones enclosing them, so leaf sets are final when read.
+    For segments T_1 .. T_k a link ``X'_i`` is placed above T_i, and every
+    childless node of T_{i+1} waits for it, so no step of T_{i+1} can start
+    before all of T_i is done.  ``X'_k`` takes the remnant's place.  A
+    single-segment remnant simply turns into a join point.
+
+    The input is a tree as :func:`_build` makes it.  One walk from its root
+    hands each node its wait: a childless node waits for ``X'_i`` of the
+    innermost remnant that holds it in a segment T_{i+1} past the first,
+    and a first segment waits for what its remnant waits for.  The links
+    come after every other node, innermost remnant first.
 
     Raises :class:`NameCollision` when a link name is taken.  Only the unit
     steps of a label named ``X'`` can take it, so the check runs against the
@@ -382,40 +370,49 @@ def expand_sand(dag: Dag) -> Dag:
     a timed ``X'`` clashes at ``X'_1`` already.
     """
     sands = [x for x in dag.nodes if x.kind is DagKind.SAND]
+    if not sands:
+        return dag
+    links: dict = {}  # remnant of two or more segments -> its links
     taken: set | None = None
-    for remnant in sorted(sands, key=lambda x: -x.index):
-        tops = list(remnant.children)
-        if len(tops) == 1:
+    for remnant in reversed(sands):
+        k = len(remnant.children)
+        if k == 1:
             remnant.kind = DagKind.NULL
             continue
-        k = len(tops)
         if taken is None:
             taken = {x.name for x in dag.nodes}
-        names = ["%s_%d" % (remnant.name, i + 1) for i in range(k)]
+        names = ["%s_%d" % (remnant.name, i) for i in range(1, k + 1)]
         for name in names:
             if name in taken:
                 raise NameCollision("generated name %r already exists" % name)
-        leaf_sets = [_subtree_leaves(tops[i]) for i in range(1, k)]
-        nulls = [dag.new_node(name, remnant.origin, DagKind.NULL)
-                 for name in names]
-        for i in range(k):
-            link(nulls[i], tops[i])
-        for i in range(k - 1):
-            for leaf in leaf_sets[i]:
-                link(leaf, nulls[i])
-        for parent in list(remnant.parents):
-            # keep the child position: counter gates rely on child order
-            pos = parent.children.index(remnant)
-            parent.children[pos] = nulls[-1]
-            nulls[-1].parents.append(parent)
-        remnant.parents = []
-        for top in tops:
-            top.parents.remove(remnant)
-        remnant.children = []
-        dag.nodes.remove(remnant)
+        links[remnant] = [dag.new_node(name, remnant.origin, DagKind.NULL)
+                          for name in names]
+    waits: dict = {}  # childless node -> the link it waits for
+    place: dict = {}  # remnant -> its child position, kept for counter gates
+    stack = [(dag.root, None, 0)]
+    while stack:
+        node, wait, pos = stack.pop()
+        kids = node.children
+        if node in links:  # T_1 waits for what the remnant waits for
+            place[node] = pos
+            stack.extend(zip(kids, [wait] + links[node], range(len(kids))))
+        elif kids:
+            stack.extend(zip(kids, itertools.repeat(wait), range(len(kids))))
+        elif wait is not None:
+            waits[node] = wait
+    for node in dag.nodes:  # node order fixes each link's parent order
+        if node in waits:
+            link(node, waits[node])
+    for remnant, made in links.items():  # innermost first
+        for new, top in zip(made, remnant.children):
+            new.children.append(top)
+            top.parents[0] = new
+        made[-1].parents = remnant.parents
+        for parent in remnant.parents:
+            parent.children[place[remnant]] = made[-1]
         if dag.root is remnant:
-            dag.root = nulls[-1]
-    dag._order = None
+            dag.root = made[-1]
+    dag.nodes = [x for x in dag.nodes if x not in links]
     return dag
 
 
@@ -926,7 +923,3 @@ def _merge_signatures(tree: _Tree, by_key: dict) -> None:
                               in zip(tree.blocks, statuses)})
         by_key[key]._merged.append(tree.signature(statuses))
 
-
-def preprocess(adt: Adt) -> list[Variant]:
-    """Validated tree in, schedulable DAG variants out (flat list)."""
-    return [v for case in preprocess_cases(adt) for v in case.variants]

@@ -41,6 +41,7 @@ TREE_INVOCATIONS = [
     ["schedule", TREE, "--elide"],
     ["variants", TREE],
     ["export", TREE, "--dot", "--stage", "variant:1"],
+    ["export", TREE, "--dot", "--stage", "normalized"],
 ]
 
 

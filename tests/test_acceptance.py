@@ -19,7 +19,6 @@ from adtsched import (
     min_schedule,
     normalize_time,
     parse_adt,
-    preprocess,
     preprocess_cases,
     run_scalability,
     schedule_candidate,
@@ -31,7 +30,7 @@ from adtsched import (
 from adtsched.preprocess import copy_dag
 from adtsched.report import render_table
 
-from conftest import load_tree
+from conftest import load_tree, preprocess
 from rand_trees import random_small_adt
 
 ALL_TREES = ("treasure", "forestall", "iot-dev", "gain-admin",

@@ -68,6 +68,12 @@ def test_every_export_resolves():
         assert hasattr(adtsched, name), name
 
 
+def test_preprocess_names_the_module():
+    # no package attribute shadows the submodule of the same name
+    import adtsched.preprocess as module
+    assert module is importlib.import_module("adtsched.preprocess")
+
+
 def test_slot_repair_is_internal():
     # the per-slot chain repair is only reachable through the packer
     assert [n for n in dir(adtsched.scheduler) if "reshuffle" in n] \

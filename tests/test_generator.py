@@ -10,10 +10,11 @@ from adtsched import (
     bench_row,
     generate_scaling_adt,
     min_schedule,
-    preprocess,
     run_scalability,
     validate_adt,
 )
+
+from conftest import preprocess
 
 
 @pytest.mark.parametrize("depth,width,children,size",

@@ -10,10 +10,10 @@ import random
 import subprocess
 import sys
 
-from adtsched import (compute_bounds, compute_time_unit, preprocess,
+from adtsched import (compute_bounds, compute_time_unit,
                       schedule_candidate, unit_dag)
 
-from conftest import TREES, load_tree
+from conftest import TREES, load_tree, preprocess
 from rand_trees import chains_adt, random_adt, random_small_adt
 from reference_heap_packer import schedule_candidate as heap_candidate
 

@@ -152,7 +152,7 @@ def test_dot_export_of_tree():
 
 
 def test_dot_export_of_dag():
-    from adtsched import preprocess
+    from conftest import preprocess
 
     variant = preprocess(parse_adt("a: SAND(b, c)\nb: ATTACK time=1\nc: ATTACK time=1\n"))[0]
     dot = export_dot(variant.dag)

@@ -1,7 +1,6 @@
 """Pipeline stages: time normalisation, sequence expansion, defence
 resolution, choice enumeration."""
 
-import importlib
 import random
 
 import pytest
@@ -22,11 +21,11 @@ from adtsched import (
     min_schedule,
     normalize_time,
     parse_adt,
-    preprocess,
     preprocess_cases,
     unit_dag,
     validate_adt,
 )
+import adtsched.preprocess as preprocess_module
 from adtsched.preprocess import (
     _Tree,
     _or_selections,
@@ -35,7 +34,7 @@ from adtsched.preprocess import (
     defence_roots,
 )
 
-from conftest import TREES, load_tree
+from conftest import TREES, load_tree, preprocess
 from rand_trees import random_adt
 from reference_or_walk import reachable
 
@@ -411,10 +410,6 @@ def test_outcomes_merge_by_the_nodes_their_selections_keep():
         assert first_of_each(by_labels) == first_of_each(by_origins)
         merged += len(by_labels) - len(set(by_labels))
     assert merged > 100  # the rule is exercised, not vacuous
-
-
-# the package exports a function named preprocess over the module's name
-preprocess_module = importlib.import_module("adtsched.preprocess")
 
 
 def counter_fan(gate, k, top="AND"):

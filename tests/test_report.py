@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from adtsched import analyse, min_schedule, preprocess, report, unit_dag
+from adtsched import analyse, min_schedule, report, unit_dag
 from adtsched.report import (
     render_table,
     signature_heading,
@@ -13,7 +13,7 @@ from adtsched.report import (
     variant_cost,
 )
 
-from conftest import load_tree
+from conftest import load_tree, preprocess
 from rand_trees import chains_adt
 
 

@@ -16,7 +16,6 @@ from adtsched import (
     min_schedule,
     normalize_time,
     parse_adt,
-    preprocess,
     schedule_candidate,
     unit_dag,
     verify_schedule,
@@ -27,7 +26,7 @@ from adtsched.preprocess import copy_dag
 
 from reference_heap_packer import _reshuffle
 
-from conftest import load_tree
+from conftest import load_tree, preprocess
 from rand_trees import chains_adt
 import reference_bisection
 
@@ -227,8 +226,7 @@ def test_min_schedule_assigns_every_node():
 
 
 def test_infeasible_variant_reported_not_scheduled(treasure):
-    from adtsched import preprocess as pp
-    dead = [v for v in pp(treasure) if not v.feasible]
+    dead = [v for v in preprocess(treasure) if not v.feasible]
     r = min_schedule(dead)[0]
     assert (r.feasible, r.slots, r.agents) == (False, 0, 0)
     assert r.assignment == {}

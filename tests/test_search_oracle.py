@@ -7,11 +7,11 @@ same agent count and leave the same (agent, slot) on every node.
 import math
 import random
 
-from adtsched import compute_bounds, preprocess, unit_dag
+from adtsched import compute_bounds, unit_dag
 from adtsched.preprocess import copy_dag
 from adtsched.scheduler import _min_agents
 
-from conftest import TREES, load_tree
+from conftest import TREES, load_tree, preprocess
 from rand_trees import chains_adt, random_adt
 import reference_bisection
 

@@ -6,10 +6,10 @@ must give every node the same (agent, slot), read in the unit-step view.
 
 import random
 
-from adtsched import (DagKind, compute_bounds, min_schedule, preprocess,
+from adtsched import (DagKind, compute_bounds, min_schedule,
                       unit_dag)
 
-from conftest import TREES, load_tree
+from conftest import TREES, load_tree, preprocess
 from rand_trees import random_small_adt
 from reference_zero_assign import sweep_zero_assign
 
