@@ -527,13 +527,6 @@ def enumerate_defence_variants(adt: Adt) -> list[DefenceConfig]:
                                               repeat=len(blocks))]
 
 
-def _keep(entries: dict, key, statuses: tuple) -> None:
-    """Record that ``statuses`` produce ``key`` unless smaller ones do."""
-    known = entries.get(key)
-    if known is None or statuses < known:
-        entries[key] = statuses
-
-
 def apply_defence_config(adt: Adt, config: DefenceConfig) -> Dag:
     """The attacker's remaining work under ``config``, time-normalised and
     SAND-expanded; empty when some operating defence makes the root
@@ -656,17 +649,21 @@ class _Tree:
         ``statuses`` (defence root -> the statuses it may take) leave, as
         its root's key, mapped to the smallest tuple of root statuses in
         block order that leaves it; key None: the attack is impossible.
+        Tuples compare FAILED first, since "failed" < "operating".
 
         One pass over the attack side, children first, gives each node such
         a map of its own.  A leaf has one entry.  A counter gate pairs each
         entry of its action with each status of its countermeasure, and
         appends that status: a CAND or SCAND needs a failed countermeasure
         and a possible action, and a NODEF needs its action only while the
-        countermeasure operates.  AND and SAND combine their children left
-        to right, and an impossible child makes them impossible; an OR
-        keeps its possible children and is impossible without any.  Every
-        combination keeps the smaller tuple per resulting key, and tuples
-        compare FAILED first, since "failed" < "operating"."""
+        countermeasure operates.  Any other gate takes one product of its
+        children's maps, joining their tuples in child order: an OR over
+        all entries, keeping its possible children, AND and SAND over the
+        possible ones.  Child keys carry labels, so no two combinations
+        leave one key.  An impossible child makes AND and SAND impossible:
+        the smallest such tuple puts every child at its smallest and, unless
+        one of those already is a None tuple, the last child that has one at
+        its None tuple (a later switch keeps a longer prefix of smallest)."""
         entries: dict = {}
         key = self.key
         for label, kind, dag_kind, children in self.attack:
@@ -686,23 +683,26 @@ class _Tree:
                             new = key(label, DagKind.NULL, (kept,))
                         else:
                             new = None
-                        _keep(out, new, done + (status,))
+                        ours = done + (status,)
+                        out[new] = min(out.get(new, ours), ours)
                 entries[label] = out
                 continue
             either = kind is NodeKind.OR
-            combos = {(): ()}  # children's keys so far, None: impossible
-            for child in children:
-                folded: dict = {}
-                for kept, more in entries.pop(child).items():
-                    for kids, done in combos.items():
-                        if kept is None:
-                            kids = kids if either else None
-                        elif kids is not None:
-                            kids += (kept,)
-                        _keep(folded, kids, done + more)
-                combos = folded
-            for kids, done in combos.items():
-                _keep(out, key(label, dag_kind, kids) if kids else None, done)
+            maps = [entries.pop(child) for child in children]
+            fails = [i for i, m in enumerate(maps) if None in m]
+            if fails and not either:
+                least = [min(m.values()) for m in maps]
+                if all(least[i] != maps[i][None] for i in fails):
+                    least[fails[-1]] = maps[fails[-1]][None]
+                out[None] = tuple(itertools.chain.from_iterable(least))
+                for i in fails:
+                    del maps[i][None]
+            for combo in itertools.product(*[m.items() for m in maps]):
+                kids, parts = zip(*combo)
+                if either:
+                    kids = tuple(k for k in kids if k is not None)
+                out[key(label, dag_kind, kids) if kids else None] = tuple(
+                    itertools.chain.from_iterable(parts))
             entries[label] = out
         return entries[self.adt.root]
 

@@ -13,6 +13,8 @@ The runs are
 * ``random_adt(max_leaves=12, max_time=3)`` seeds 0..2999, with
   ``defence_prob`` 0.2, 0.4 and 0.6 by seed mod 3, each tree under every
   entry of ``TREE_INVOCATIONS``;
+* ``wide_adt`` seeds 0..299, gates over 2..30 children, each under every
+  entry of ``TREE_INVOCATIONS``;
 * every input of the four workloads in ``perfbench/workloads.py`` at seeds
   1 and 2, each under ``schedule`` with its own flags;
 * ``generate --emit result`` for every row of ``BENCH_ROWS``.
@@ -45,13 +47,15 @@ TREE_INVOCATIONS = [
 ]
 
 
-def inputs(serialize_adt, random_adt, workloads, bench_rows):
+def inputs(serialize_adt, random_adt, wide_adt, workloads, bench_rows):
     """``(tree text, [args, ...])`` for every tree, in run order; the
     ``generate`` runs read no tree and come last."""
     for seed in range(3000):
         adt = random_adt(random.Random(seed), max_leaves=12, max_time=3,
                          defence_prob=(0.2, 0.4, 0.6)[seed % 3])
         yield serialize_adt(adt), TREE_INVOCATIONS
+    for seed in range(300):
+        yield serialize_adt(wide_adt(random.Random(seed))), TREE_INVOCATIONS
     for name in workloads.WORKLOADS:
         for seed in (1, 2):
             for item in workloads.build(name, seed):
@@ -80,7 +84,7 @@ def main(argv) -> int:
     from adtsched import cli
     from adtsched.generator import BENCH_ROWS
     from adtsched.parser import serialize_adt
-    from rand_trees import random_adt
+    from rand_trees import random_adt, wide_adt
     import workloads
 
     if src not in pathlib.Path(cli.__file__).resolve().parents:
@@ -93,7 +97,7 @@ def main(argv) -> int:
         os.chdir(tmp)
         try:
             for text, invocations in inputs(serialize_adt, random_adt,
-                                            workloads, BENCH_ROWS):
+                                            wide_adt, workloads, BENCH_ROWS):
                 with open(TREE, "w", encoding="utf-8") as handle:
                     handle.write(text)
                 for args in invocations:

@@ -67,6 +67,59 @@ def random_adt(rng, max_leaves=6, max_time=3, defence_prob=0.0,
     return Adt(root=root, nodes=nodes)
 
 
+def wide_adt(rng, max_counters=10):
+    """Build one AND, OR or SAND over 2..30 children.
+
+    Each child is a timed attack leaf; a CAND, NODEF or SCAND over an
+    attack leaf and a defence leaf; or an OR or AND over a leaf and either
+    a slower leaf or such a counter gate.  An OR's slower leaf outlasts
+    the tree's fastest time, so only counter gates leave an OR a choice,
+    and at most ``max_counters`` of them keep the tree at no more than
+    2^max_counters defence outcomes and as many time-optimal OR
+    selections.
+    """
+    nodes = {}
+    counters = [0]
+
+    def add(prefix, kind, role=Role.ATTACK, children=(), duration=0):
+        label = "%s%d" % (prefix, len(nodes))
+        nodes[label] = AdtNode(label, kind, children=list(children),
+                               duration=duration,
+                               cost=rng.choice((0, 0, 10, 25)), role=role)
+        return label
+
+    def leaf(duration=None):
+        return add("n", NodeKind.LEAF,
+                   duration=rng.randint(1, 3) if duration is None
+                   else duration)
+
+    def counter_gate():
+        counters[0] += 1
+        return add("c", rng.choice(COUNTER_GATES),
+                   children=[leaf(), add("d", NodeKind.LEAF, Role.DEFENCE)])
+
+    def child():
+        pick = rng.randrange(3)
+        room = counters[0] < max_counters
+        if pick == 0 or (pick == 1 and not room):
+            return leaf()
+        if pick == 1:
+            return counter_gate()
+        kind = rng.choice((NodeKind.OR, NodeKind.AND))
+        first = leaf()
+        if room and rng.random() < 0.5:
+            second = counter_gate()
+        elif kind is NodeKind.OR:  # never fits the fastest time
+            second = leaf(rng.randint(6, 7))
+        else:
+            second = leaf(nodes[first].duration + rng.randint(1, 2))
+        return add("g", kind, children=[first, second])
+
+    kids = [child() for _ in range(rng.randint(2, 30))]
+    root = add("r", rng.choice(ATTACK_GATES), children=kids)
+    return Adt(root=root, nodes=nodes)
+
+
 def random_small_adt(rng, seq_cap=12, **kwargs):
     """Random tree whose total duration over every node stays under
     ``seq_cap`` — after preprocessing no variant can exceed that many
