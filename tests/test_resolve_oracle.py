@@ -19,7 +19,7 @@ import sys
 import pytest
 
 from adtsched import FAILED, OPERATING
-from adtsched.preprocess import _Tree
+from adtsched.preprocess import _Tree, defence_roots
 
 from conftest import TREES, load_tree
 from rand_trees import random_adt, wide_adt
@@ -48,7 +48,7 @@ def shapes(resolve, adt, given):
 
 
 def agree(adt, mode, seed):
-    given = statuses(_Tree(adt).roots, mode, random.Random(seed))
+    given = statuses(defence_roots(adt), mode, random.Random(seed))
     want = shapes(reference_gate_fold.resolve, adt, given)
     assert shapes(_Tree.resolve, adt, given) == want
     return len(want)
