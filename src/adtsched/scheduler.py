@@ -5,7 +5,8 @@ is the total completion time L, a node assigned slot s runs during step s,
 and every node must sit in a strictly higher slot than each of the unit
 steps below it.  The scheduler fills slots greedily from the root down,
 highest level first (Hu 1961): a heap holds the chains whose next unit
-step has all its ancestors placed, deepest step first, and where the
+step has all its ancestors placed, as one int per chain that orders them
+by the depth of that step and then by chain index, and where the
 placement settles it jumps over the slots that repeat it.  A chain's
 placement is a list of runs (agent, first slot, length).  The search for
 the number of agents probes the pigeonhole bound first, which ends it
@@ -104,20 +105,19 @@ def compute_bounds(dag: Dag, slots_override: int | None = None) -> Bounds:
     return Bounds(lower, upper, slots)
 
 
-def _release(done, pending: list, ready: list) -> None:
+def _release(done, pending: dict, ready: list, keys: dict) -> None:
     """Count the ``done`` nodes as finished for their children.  A child
     whose last pending parent this was is ready if it is a chain, and done
     in turn if it takes no time.  ``pending`` is keyed by node ``index``;
-    ``ready`` is a heap of chains keyed by their next step, ``(-depth,
-    index, chain)``."""
+    ``ready`` is a heap of chain keys, and ``keys`` maps a chain's index to
+    the key of its last step ``X_w`` (see :func:`schedule_candidate`)."""
     stack = list(done)
     while stack:
         for child in stack.pop().children:
             pending[child.index] -= 1
             if not pending[child.index]:
                 if child.weight:
-                    heappush(ready, (-child.depth,
-                                     child.index + child.weight - 1, child))
+                    heappush(ready, keys[child.index])
                 else:
                     stack.append(child)
 
@@ -137,11 +137,17 @@ def schedule_candidate(dag: Dag, slots: int, agents: int):
     suffices; the node fields ``agent``, ``slot`` and ``runs`` hold the
     assignment (see :class:`DagNode`), 0 and no runs on a node not placed.
 
-    The heap holds each ready chain once, keyed by its next step: step
-    ``X_j`` has depth ``child.depth + j`` and index ``index + j - 1``.  A
-    chain that places a step and goes on moves to key (depth - 1, index -
-    1), so the keys of the running chains shift alike and keep their order,
-    while the keys of the waiting ones stay put.
+    *Keys.*  The heap holds each ready chain once, as one int for its next
+    step.  Step ``X_j`` of a chain of weight w and index i has index ``i +
+    j - 1``, inside the indices ``i .. i + w - 1`` that the chain reserves
+    and no other chain uses, so two steps of one depth compare by step
+    index as their chains compare by index.  A chain's ``rank`` is its
+    place in ``dag.nodes``, which is in index order, and with C nodes the
+    key of a step of depth D is ``rank - D * C``.  Keys then compare as
+    ``(-depth, step index)`` pairs do, and ``key % C`` is the rank.  A
+    chain that places a step and goes on moves to ``key + C``, so the keys
+    of the running chains shift alike and keep their order, while the keys
+    of the waiting ones stay put.
 
     *Jumps.*  When a slot puts the same chains on the same agents as the
     slot before, every following slot repeats it until the next event: a
@@ -179,79 +185,85 @@ def schedule_candidate(dag: Dag, slots: int, agents: int):
     # keyed by index: a chain's indices run to its weight, so a list by
     # index would grow with the durations
     pending = {}
+    nodes = dag.nodes
+    c = len(nodes)
+    keys = {}    # chain index -> the key of its X_w
+    firsts = {}  # rank -> the key of its X_1
     n_remain = 0
-    for node in dag.nodes:
+    for rank, node in enumerate(nodes):
         node.agent = 0
         node.slot = 0
         node.runs = ()
         pending[node.index] = len(node.parents)
-        n_remain += node.weight
+        if node.weight:
+            n_remain += node.weight
+            keys[node.index] = rank - node.depth * c
+            firsts[rank] = rank - (node.depth - node.weight + 1) * c
     root = dag.root
     ready: list = []
     if root.weight:
-        ready.append((-root.depth, root.index + root.weight - 1, root))
+        ready.append(keys[root.index])
     else:
-        _release([root], pending, ready)
+        _release([root], pending, ready, keys)
     opened: dict = {}  # chain of weight > 1 -> first slot of its open run
     before = None      # the previous slot's occupants
     slot = slots
     while n_remain > 0 and slot > 0:
-        if -ready[0][0] > slot:
+        if ready[0] < -slot * c:
             break  # some pending chain no longer fits below this slot
-        keys = []
+        placed = []
         occupants: dict[int, DagNode] = {}
         agent = 0
         while ready and agent < agents:
             key = heappop(ready)
-            keys.append(key)
+            placed.append(key)
             agent += 1
-            occupants[agent] = key[2]
+            occupants[agent] = nodes[key % c]
         _reshuffle(agent, occupants)
         for agent, node in occupants.items():
-            if node.weight > 1:
-                top = opened.get(node)
-                if top is None:
-                    opened[node] = slot
-                elif node.agent != agent or node.slot != slot + 1:
+            if node.slot != slot + 1 or node.agent != agent:
+                if node.slot:  # a run breaks
+                    top = opened[node]
                     run = (node.agent, node.slot, top - node.slot + 1)
                     if node.runs:
                         node.runs.append(run)
                     else:
                         node.runs = [run]
                     opened[node] = slot
-            node.agent = agent
+                elif node.weight > 1:
+                    opened[node] = slot
+                node.agent = agent
             node.slot = slot
         skip = 0
         if occupants == before:
             # steps each chain has left below this slot
-            skip = min(index - node.index for _, index, node in keys)
+            skip = min(firsts[key % c] - key for key in placed) // c
             if skip and ready:  # every agent is busy and some chain waits
-                best, worst = ready[0], keys[-1]
-                gap = best[0] - worst[0]  # how much deeper the worst runs
-                # after t more slots the waiting chain beats the worst
-                # running one when t > gap, or t == gap and its index is
-                # lower
-                overtake = gap if gap and best[1] < worst[1] - gap \
-                    else gap + 1
-                skip = min(skip, overtake - 1)
+                # t more slots move the worst running key to placed[-1] +
+                # t * C, and the best waiting key beats it once t * C >
+                # ready[0] - placed[-1]
+                skip = min(skip, (ready[0] - placed[-1]) // c)
             if skip:
                 for node in occupants.values():
                     node.slot -= skip
         before = occupants
-        n_remain -= len(keys) * (skip + 1)
+        n_remain -= len(placed) * (skip + 1)
         done = []
-        for depth, index, node in keys:
-            index -= skip
-            if index == node.index:  # placed X_1
+        shift = skip * c
+        for key in placed:
+            key += shift
+            rank = key % c
+            if key == firsts[rank]:  # placed X_1
+                node = nodes[rank]
                 done.append(node)
                 if node.weight > 1:
                     top = opened.pop(node)
                     if node.runs:
                         node.runs = _ascending(node, top)
             else:
-                heappush(ready, (depth + skip + 1, index - 1, node))
+                heappush(ready, key + c)
         if done:
-            _release(done, pending, ready)
+            _release(done, pending, ready, keys)
         slot -= skip + 1
     for node, top in opened.items():  # chains left unfinished
         node.runs = _ascending(node, top)
@@ -478,13 +490,64 @@ def _precedence_broken(dag: Dag, ends: dict) -> bool:
     return False
 
 
+def _apart(cells: dict, base: int) -> bool:
+    """True when no two runs share a cell and the agents used are 1..k.
+    ``cells`` maps the key ``agent * base + first slot`` of every run to
+    the key of its last slot.  Agent a owns the band of keys ``a * base
+    .. a * base + base - 1``, and with ``base`` above the deadline its
+    slots 1..slots stay inside it, so one sort of the keys lists the runs
+    by agent and then by slot."""
+    reach = 0       # the highest key a run has covered so far
+    top = base - 1  # the top of the last agent's band, at first agent 0's
+    for key in sorted(cells):
+        if key <= reach:
+            return False
+        reach = cells[key]
+        if key > top:  # the first run of the next agent used
+            if key > top + base:
+                return False
+            top += base
+    return True
+
+
+def _collisions(chains: list, violations: list) -> set:
+    """Append a violation for every step that shares its cell with a step
+    of an earlier span, from one sort of every placed run as a span
+    ``(agent, first slot, last slot, first step's index, chain)``; returns
+    the agents the spans use."""
+    spans = []
+    for node, runs in chains:
+        j = node.weight + 1 - sum(r[2] for r in runs)  # the run's first step
+        for agent, first, length in runs:
+            if agent and first:
+                spans.append((agent, first, first + length - 1,
+                              node.index + j - 1, node))
+            j += length
+    spans.sort()
+    reach = None  # the span of this agent that reaches the highest slot
+    for span in spans:
+        if reach is not None and reach[0] == span[0] \
+                and span[1] <= reach[2]:
+            slot, node, other = span[1], span[4], reach[4]
+            violations.append(Violation(
+                "collision", step_name(node, span[3] - node.index + 1),
+                "shares %s with %s" % (
+                    (span[0], slot),
+                    step_name(other, reach[3] - other.index + 1
+                              + slot - reach[1]))))
+        if reach is None or reach[0] != span[0] or span[2] > reach[2]:
+            reach = span
+    return {span[0] for span in spans}
+
+
 def verify_schedule(dag: Dag, slots: int | None = None,
                     agents: int | None = None) -> list:
     """Independent checks of the assignment held in the node fields.
     Returns violations as data; an empty list means the schedule is sound.
     Reads each chain's runs, so it takes time linear in the nodes and runs,
-    and one sort of the runs: two steps collide where runs of one agent
-    overlap.
+    and one sort of one int key per run: two steps collide where runs of
+    one agent overlap.  Only when some check fails are the runs sorted
+    again as spans that name each collision.
     """
     violations: list[Violation] = []
     chains = [(x, node_runs(x)) for x in dag.nodes if x.weight]
@@ -494,7 +557,9 @@ def verify_schedule(dag: Dag, slots: int | None = None,
     if agents is None:
         agents = max((run[0] for _, runs in chains for run in runs),
                      default=0)
-    spans = []  # (agent, first slot, last slot, first step's index, chain)
+    base = slots + 2
+    cells = {}  # agent * base + first slot -> the same key of its last slot
+    count = 0   # runs with a cell
     ends = {}   # chain index -> (slot of its latest step, slot of X_1)
     for node, runs in chains:
         placed = runs[0][2] if len(runs) == 1 else sum(r[2] for r in runs)
@@ -526,26 +591,17 @@ def verify_schedule(dag: Dag, slots: int | None = None,
                         "%s (slot %d) must come after %s (slot %d)"
                         % (step_name(node, j), first, step_name(node, j - 1),
                            last)))
-                spans.append((agent, first, end, node.index + j - 1, node))
+                key = agent * base + first
+                cells[key] = key + length - 1
+                count += 1
             if first:
                 last = end
             j += length
         whole = placed == node.weight and runs[0][1]
         ends[node.index] = (last, runs[0][1] if whole else math.inf)
-    spans.sort()
-    reach = None  # the span of this agent that reaches the highest slot
-    for span in spans:
-        if reach is not None and reach[0] == span[0] \
-                and span[1] <= reach[2]:
-            slot, node, other = span[1], span[4], reach[4]
-            violations.append(Violation(
-                "collision", step_name(node, span[3] - node.index + 1),
-                "shares %s with %s" % (
-                    (span[0], slot),
-                    step_name(other, reach[3] - other.index + 1
-                              + slot - reach[1]))))
-        if reach is None or reach[0] != span[0] or span[2] > reach[2]:
-            reach = span
+    agents_used = set()  # read only where some check failed
+    if violations or len(cells) < count or not _apart(cells, base):
+        agents_used = _collisions(chains, violations)
     if _precedence_broken(dag, ends):
         # name every misordered (step, ancestor) pair
         nearest = _nearest_seq_ancestors(dag)
@@ -561,7 +617,6 @@ def verify_schedule(dag: Dag, slots: int | None = None,
                         "%s (slot %d) must come after %s (slot %d)"
                         % (ancestor.name, low, step_name(node, node.weight),
                            top)))
-    agents_used = {span[0] for span in spans}
     if agents_used and agents_used != set(range(1, max(agents_used) + 1)):
         violations.append(Violation(
             "agent-gap", dag.root.name if dag.root else "",

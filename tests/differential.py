@@ -15,6 +15,10 @@ The runs are
   entry of ``TREE_INVOCATIONS``;
 * ``wide_adt`` seeds 0..299, gates over 2..30 children, each under every
   entry of ``TREE_INVOCATIONS``;
+* ``nested_chains_adt`` seeds 0..199, ANDs over 2..40 chains of 1..50
+  steps, half of them (seed mod 4 of 2 or 3) with parts under ANDs and
+  SANDs, each under ``schedule``, the odd seeds with ``--slots-override``
+  at 1.1-2.5 times the fastest time;
 * every input of the four workloads in ``perfbench/workloads.py`` at seeds
   1 and 2, each under ``schedule`` with its own flags;
 * ``generate --emit result`` for every row of ``BENCH_ROWS``.
@@ -27,6 +31,7 @@ start with ``test_``, so pytest does not collect it.
 import contextlib
 import hashlib
 import io
+import math
 import os
 import pathlib
 import random
@@ -47,15 +52,27 @@ TREE_INVOCATIONS = [
 ]
 
 
-def inputs(serialize_adt, random_adt, wide_adt, workloads, bench_rows):
+def inputs(serialize_adt, rand_trees, workloads, bench_rows):
     """``(tree text, [args, ...])`` for every tree, in run order; the
     ``generate`` runs read no tree and come last."""
     for seed in range(3000):
-        adt = random_adt(random.Random(seed), max_leaves=12, max_time=3,
-                         defence_prob=(0.2, 0.4, 0.6)[seed % 3])
+        adt = rand_trees.random_adt(
+            random.Random(seed), max_leaves=12, max_time=3,
+            defence_prob=(0.2, 0.4, 0.6)[seed % 3])
         yield serialize_adt(adt), TREE_INVOCATIONS
     for seed in range(300):
-        yield serialize_adt(wide_adt(random.Random(seed))), TREE_INVOCATIONS
+        adt = rand_trees.wide_adt(random.Random(seed))
+        yield serialize_adt(adt), TREE_INVOCATIONS
+    for seed in range(200):
+        rng = random.Random(seed)
+        adt = rand_trees.nested_chains_adt(
+            rng, rng.randint(2, 40), 50, gate_prob=0.3 if seed % 4 > 1 else 0)
+        args = ["schedule", TREE]
+        if seed % 2:
+            slack = rng.uniform(1.1, 2.5)
+            args += ["--slots-override",
+                     str(math.ceil(slack * rand_trees.critical_slots(adt)))]
+        yield serialize_adt(adt), [args]
     for name in workloads.WORKLOADS:
         for seed in (1, 2):
             for item in workloads.build(name, seed):
@@ -84,7 +101,7 @@ def main(argv) -> int:
     from adtsched import cli
     from adtsched.generator import BENCH_ROWS
     from adtsched.parser import serialize_adt
-    from rand_trees import random_adt, wide_adt
+    import rand_trees
     import workloads
 
     if src not in pathlib.Path(cli.__file__).resolve().parents:
@@ -96,8 +113,8 @@ def main(argv) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
-            for text, invocations in inputs(serialize_adt, random_adt,
-                                            wide_adt, workloads, BENCH_ROWS):
+            for text, invocations in inputs(serialize_adt, rand_trees,
+                                            workloads, BENCH_ROWS):
                 with open(TREE, "w", encoding="utf-8") as handle:
                     handle.write(text)
                 for args in invocations:

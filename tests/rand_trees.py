@@ -1,5 +1,6 @@
 """Tree builders shared by property, scheduler and end-to-end tests."""
 
+import math
 import random
 
 from adtsched import Adt, AdtNode, NodeKind, Role
@@ -139,3 +140,42 @@ def chains_adt(durations):
         nodes[label] = AdtNode(label, NodeKind.LEAF, duration=d,
                                role=Role.ATTACK)
     return Adt(root="r", nodes=nodes)
+
+
+def nested_chains_adt(rng, width, max_time, gate_prob=0.5):
+    """AND over ``width`` parts.  Each part is an attack leaf with a
+    duration in 1..max_time or, with ``gate_prob``, an AND or SAND over two
+    or three parts one level down, two levels at most.  A SAND makes its
+    later chains wait for the earlier ones, so the chains sit at different
+    child depths and equal depths pair chains of different shapes."""
+    nodes = {}
+
+    def add(kind, children=(), duration=0):
+        label = "%s%d" % ("g" if children else "c", len(nodes))
+        nodes[label] = AdtNode(label, kind, children=list(children),
+                               duration=duration, role=Role.ATTACK)
+        return label
+
+    def part(levels):
+        if levels and rng.random() < gate_prob:
+            kind = rng.choice((NodeKind.AND, NodeKind.SAND))
+            return add(kind, [part(levels - 1)
+                              for _ in range(rng.randint(2, 3))])
+        return add(NodeKind.LEAF, duration=rng.randint(1, max_time))
+
+    root = add(NodeKind.AND, [part(2) for _ in range(width)])
+    return Adt(root=root, nodes=nodes)
+
+
+def critical_slots(adt):
+    """The fastest completion time of a tree of attack leaves, ANDs and
+    SANDs, in units of the greatest common divisor of its durations."""
+    def time(label):
+        node = adt.nodes[label]
+        below = [time(child) for child in node.children]
+        if node.kind is NodeKind.SAND:
+            return node.duration + sum(below)
+        return node.duration + max(below, default=0)
+
+    return time(adt.root) // math.gcd(*(x.duration
+                                        for x in adt.nodes.values()))
