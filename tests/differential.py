@@ -15,10 +15,10 @@ The runs are
   entry of ``TREE_INVOCATIONS``;
 * ``wide_adt`` seeds 0..299, gates over 2..30 children, each under every
   entry of ``TREE_INVOCATIONS``;
-* ``nested_chains_adt`` seeds 0..199, ANDs over 2..40 chains of 1..50
-  steps, half of them (seed mod 4 of 2 or 3) with parts under ANDs and
-  SANDs, each under ``schedule``, the odd seeds with ``--slots-override``
-  at 1.1-2.5 times the fastest time;
+* ``nested_chains_adt`` seeds 0..199, ANDs over 2..40 parts with chains
+  of 1..50 steps, where on seeds 2 and 3 mod 4 a part may be an AND or
+  SAND over parts, each under ``schedule``, the odd seeds with
+  ``--slots-override`` at 1.1-2.5 times the fastest time;
 * every input of the four workloads in ``perfbench/workloads.py`` at seeds
   1 and 2, each under ``schedule`` with its own flags;
 * ``generate --emit result`` for every row of ``BENCH_ROWS``.

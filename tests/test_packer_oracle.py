@@ -134,7 +134,7 @@ def test_equal_chains_rotate_as_before():
 
 def test_wide_chain_sets_key_as_before():
     # the benchmark's shape: 30-80 chains of 1..200 steps
-    rng = random.Random(24)
+    rng = random.Random(40)
     for _ in range(4):
         adt = chains_adt([rng.randint(1, 200)
                           for _ in range(rng.randint(30, 80))])
@@ -145,7 +145,7 @@ def test_wide_chain_sets_key_as_before():
 def test_nested_chains_key_as_before():
     # chains under ANDs and SANDs wait at different child depths, so the
     # chains tied at one depth differ in weight and depth
-    rng = random.Random(25)
+    rng = random.Random(41)
     for _ in range(60):
         adt = nested_chains_adt(rng, rng.randint(2, 30), rng.randint(1, 50))
         for slack in (None, rng.uniform(1.1, 2.5)):
@@ -153,7 +153,7 @@ def test_nested_chains_key_as_before():
 
 
 def test_random_trees_key_as_before():
-    rng = random.Random(26)
+    rng = random.Random(42)
     for _ in range(200):
         adt = random_adt(rng, max_time=20, defence_prob=0.25)
         for slack in (None, 1.5):
