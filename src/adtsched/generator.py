@@ -8,7 +8,6 @@ configuration as CSV.
 
 from __future__ import annotations
 
-import csv
 import io
 import sys
 import time
@@ -111,6 +110,7 @@ def run_scalability(rows=None) -> str:
     """CSV over ``rows`` (default: the standard sweep).  A failing row is
     reported with dashes, and with a warning line on stderr; the run
     continues."""
+    import csv  # only the sweep needs it: kept out of start-up
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\r\n")
     writer.writerow(["depth", "width", "children", "adtree",

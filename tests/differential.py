@@ -19,6 +19,10 @@ The runs are
   of 1..50 steps, where on seeds 2 and 3 mod 4 a part may be an AND or
   SAND over parts, each under ``schedule``, the odd seeds with
   ``--slots-override`` at 1.1-2.5 times the fastest time;
+* ``random_adt(max_leaves=10, max_time=400, defence_prob=0.3)`` seeds
+  0..299, each under plain ``schedule`` and under ``--slots-override`` at
+  1.5 times its ``critical_slots``: long tables, which ``render_table``
+  prints by stretches of rows;
 * every input of the four workloads in ``perfbench/workloads.py`` at seeds
   1 and 2, each under ``schedule`` with its own flags;
 * ``generate --emit result`` for every row of ``BENCH_ROWS``.
@@ -73,6 +77,13 @@ def inputs(serialize_adt, rand_trees, workloads, bench_rows):
             args += ["--slots-override",
                      str(math.ceil(slack * rand_trees.critical_slots(adt)))]
         yield serialize_adt(adt), [args]
+    for seed in range(300):
+        adt = rand_trees.random_adt(random.Random(seed), max_leaves=10,
+                                    max_time=400, defence_prob=0.3)
+        slots = math.ceil(1.5 * rand_trees.critical_slots(adt))
+        yield serialize_adt(adt), [["schedule", TREE],
+                                   ["schedule", TREE, "--slots-override",
+                                    str(slots)]]
     for name in workloads.WORKLOADS:
         for seed in (1, 2):
             for item in workloads.build(name, seed):

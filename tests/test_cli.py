@@ -504,7 +504,8 @@ def test_identical_invocations_are_byte_identical(capsys, argv):
 
 
 @pytest.mark.parametrize("module",
-                         ["logging", "dataclasses", "inspect", "hashlib"])
+                         ["logging", "dataclasses", "inspect", "hashlib",
+                          "json", "csv"])
 def test_import_leaves_logging_out(module):
     # a fresh isolated interpreter, as the benchmark's import probe uses
     src = os.path.dirname(os.path.dirname(cli.__file__))
