@@ -11,8 +11,8 @@ import pathlib
 from adtsched import (
     FAILED,
     OPERATING,
+    analyse,
     defence_signature,
-    min_schedule,
     parse_adt,
     preprocess_cases,
     validate_adt,
@@ -41,12 +41,11 @@ def main():
         print("  %-28s <- %2d combination(s)" % (sig, count))
 
     print("\ncases after merging indistinguishable graphs:")
-    for i, case in enumerate(preprocess_cases(adt), 1):
-        best = min((r for r in min_schedule(case.variants) if r.feasible),
-                   key=lambda r: r.agents, default=None)
+    cases = preprocess_cases(adt)
+    for i, (case, best) in enumerate(zip(cases, analyse(adt)), 1):
         also = len(case.merged_signatures) - 1
         extra = "  (+%d merged outcome%s)" % (also, "s" if also > 1 else "") if also else ""
-        if best is None:
+        if not best.feasible:
             print("  case %d: %s -> attack impossible%s"
                   % (i, signature_heading(case.signature), extra))
         else:

@@ -7,9 +7,9 @@ import pathlib
 import sys
 
 from adtsched import (
+    analyse,
     compute_time_unit,
     expand_sand,
-    min_schedule,
     normalize_time,
     parse_adt,
     preprocess_cases,
@@ -47,20 +47,16 @@ def main():
 
     print("\n== defence outcomes, each resolved on the tree and built as its own"
           " DAG, then one choice per OR gate")
-    cases = preprocess_cases(adt)
-    for i, case in enumerate(cases, 1):
+    for i, case in enumerate(preprocess_cases(adt, all_variants=True), 1):
         tag = signature_heading(case.signature)
         print("   case %d (%s): %d variant(s)" % (i, tag, len(case.variants)))
 
     print("\n== minimal schedules")
-    for case in cases:
-        results = min_schedule(case.variants)
-        live = [r for r in results if r.feasible]
-        heading = signature_heading(case.signature)
-        if not live:
+    for best in analyse(adt):
+        heading = signature_heading(best.variant.signature)
+        if not best.feasible:
             print("\n%s: attack impossible" % heading)
             continue
-        best = min(live, key=lambda r: r.agents)
         print("\n%s: slots=%d agents=%d cost=%d"
               % (heading, best.slots, best.agents, variant_cost(best, adt)))
         print(render_table(best, elide=True))

@@ -111,6 +111,10 @@ def _load(path: str):
     return adt
 
 
+def _or_text(choices: dict) -> str:  # gates in preorder
+    return "[%s]" % ", ".join("%s=%s" % kv for kv in choices.items())
+
+
 def cmd_schedule(ns) -> int:
     adt = _load(ns.tree)
     if adt is None:
@@ -127,8 +131,7 @@ def cmd_schedule(ns) -> int:
     for result in selected:
         heading = signature_heading(result.variant.signature)
         if result.variant.or_choices:
-            heading += " [%s]" % ", ".join(
-                "%s=%s" % kv for kv in result.variant.or_choices.items())
+            heading += " " + _or_text(result.variant.or_choices)
         if not result.feasible:
             blocks.append("%s: attack impossible\n" % heading)
             continue
@@ -143,7 +146,7 @@ def cmd_variants(ns) -> int:
     adt = _load(ns.tree)
     if adt is None:
         return 2
-    cases = preprocess_cases(adt)
+    cases = preprocess_cases(adt, all_variants=True)
     lines = []
     for index, case in enumerate(cases, start=1):
         line = "case %d: %s" % (index, signature_heading(case.signature))
@@ -156,10 +159,8 @@ def cmd_variants(ns) -> int:
             if not variant.feasible:
                 lines.append("  attack impossible")
                 continue
-            choice = ""
-            if variant.or_choices:
-                choice = "[%s] " % ", ".join(
-                    "%s=%s" % kv for kv in variant.or_choices.items())
+            choice = (_or_text(variant.or_choices) + " "
+                      if variant.or_choices else "")
             n = variant.dag.n
             line = "  variant %d: %sn=%d" % (vindex, choice, n)
             if n == 0:  # nothing to schedule, so no agent bounds

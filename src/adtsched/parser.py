@@ -110,7 +110,10 @@ def parse_adt(text: str) -> Adt:
     """Parse the text format into an :class:`Adt`.
 
     Raises :class:`ParseError` on the first problem.  The result is not yet
-    validated; run :func:`adtsched.model.validate_adt` before preprocessing.
+    validated: :func:`~adtsched.preprocess.preprocess_cases` (so also
+    :func:`~adtsched.scheduler.analyse`) raises a ValueError on the first
+    problem of an invalid tree, and :func:`adtsched.model.validate_adt`
+    lists them all.
     """
     nodes: dict[str, AdtNode] = {}
     def_lines: dict[str, int] = {}

@@ -1,4 +1,4 @@
-"""Turn a validated attack-defence tree into unit-time attack DAGs.
+"""Turn an attack-defence tree into unit-time attack DAGs.
 
 The scheduler downstream only understands one thing: a DAG whose
 unit-duration steps must each get an agent and a time slot, with every node
@@ -6,8 +6,8 @@ waiting for all of its children.  The steps of one action form a chain,
 kept as one ``SEQ`` node whose ``weight`` is its number of steps; the steps
 themselves exist only by arithmetic (:class:`DagNode`), and
 :func:`unit_dag` spells them out where a node per step is wanted.
-:func:`preprocess_cases` splits one preorder of the tree into its attack
-side and its defence subtrees, then
+:func:`preprocess_cases` validates the tree, splits one preorder of it into
+its attack side and its defence subtrees, then
 
 1. resolves the attack side in one bottom-up pass to what the attacker
    still has to do (possibly nothing) under every outcome of the defence
@@ -18,8 +18,9 @@ side and its defence subtrees, then
 2. picks, for each distinct resolved tree, every combination of OR
    choices that finishes the attack fastest, in three passes
    (:func:`_or_selections`), and merges trees that keep the same tree
-   nodes into one case; on request it keeps one selection per class of
-   selections whose DAGs match node for node, up to labels,
+   nodes into one case; unless asked for all of them, it keeps one
+   selection per class of selections whose DAGs match node for node, up
+   to labels,
 3. builds each case's variants once, each in one pass over its shape in
    preorder (:func:`_build`): every timed node becomes one chain node,
    weighted by its number of unit steps, above a zero-duration remnant,
@@ -113,21 +114,16 @@ class DagNode:
                  "parents", "depth", "level", "agent", "slot", "runs")
 
     def __init__(self, name: str, origin: str, kind: DagKind, index: int,
-                 weight: int = 0, children: list | None = None,
-                 parents: list | None = None, depth: int = 0, level: int = 0,
-                 agent: int = 0, slot: int = 0, runs: tuple = ()):
+                 weight: int = 0):
         self.name = name
         self.origin = origin
         self.kind = kind
         self.index = index
         self.weight = weight
-        self.children = [] if children is None else children
-        self.parents = [] if parents is None else parents
-        self.depth = depth
-        self.level = level
-        self.agent = agent
-        self.slot = slot
-        self.runs = runs
+        self.children = []
+        self.parents = []
+        self.depth = self.level = self.agent = self.slot = 0
+        self.runs = ()
 
     def __repr__(self):
         return "DagNode(%r)" % self.name
@@ -598,12 +594,12 @@ class Case:
     takes one pass per outcome."""
 
     def __init__(self, signature: dict, config: DefenceConfig,
-                 variants: list, _merge=None, _merged: list | None = None):
+                 variants: list, _merge=None):
         self.signature = signature
         self.config = config
         self.variants = variants
         self._merge = _merge
-        self._merged = _merged
+        self._merged = None
 
     @property
     def merged_signatures(self) -> list:
@@ -756,7 +752,10 @@ def _or_selections(shape: dict, root: str, weight: dict,
     exceeds R.  Every kept entry extends to a best selection, so the work
     is bounded by the tree and the output, and the nodes with a budget are
     exactly those that some selection keeps.  A selection carries its
-    choices as one flat tuple of ``(gate, child)`` pairs in preorder, so
+    choices as nested tuples, so that no pass copies what the passes below
+    it chose: ``(gate, child, rest)`` puts an OR's choice ahead of its
+    child's choices ``rest``, and ``(first, second)`` joins two non-empty
+    parts.  One walk per selection lists them in preorder, so
     ``or_choices`` lists the chosen gates in preorder; a variant shape
     lists the nodes reachable from the root, in preorder (the order
     :func:`_build` takes), each chosen OR keeping only its chosen child.
@@ -794,8 +793,7 @@ def _or_selections(shape: dict, root: str, weight: dict,
             elif kind is not DagKind.OR or fastest[child] <= rest:
                 budget[child] = rest
 
-    # a selection is (time, chosen); chosen is its (gate, child) pairs in
-    # preorder
+    # a selection is (time, chosen); chosen nests its (gate, child) pairs
     picks: dict = {}
     keys: dict = {}
     interned: dict = {}
@@ -811,7 +809,7 @@ def _or_selections(shape: dict, root: str, weight: dict,
                 for child in kids:
                     first.setdefault(keys[child], child)
                 entered = list(first.values())
-            partial = [(t, ((label, child),) + chosen)
+            partial = [(t, (label, child, chosen))
                        for child in entered
                        for t, chosen in picks[child]]
         else:
@@ -820,7 +818,9 @@ def _or_selections(shape: dict, root: str, weight: dict,
             partial = [(0, ())]
             for child in kids:
                 room += fastest[child]  # R minus later children's fastest
-                partial = [(t + u if sand else max(t, u), chosen + more)
+                partial = [(t + u if sand else max(t, u),
+                            (chosen, more) if chosen and more
+                            else chosen or more)
                            for t, chosen in partial
                            for u, more in picks[child]
                            if not sand or t + u <= room]
@@ -832,7 +832,14 @@ def _or_selections(shape: dict, root: str, weight: dict,
 
     out = []
     for _, chosen in picks[root]:
-        choices = dict(chosen)
+        choices, stack = {}, [chosen]
+        while stack:
+            part = stack.pop()
+            if len(part) == 3:
+                choices[part[0]] = part[1]
+                stack.append(part[2])
+            elif part:
+                stack += (part[1], part[0])
         variant, stack = {}, [root]
         while stack:
             label = stack.pop()
@@ -866,9 +873,10 @@ def _variants(tree: _Tree, config: DefenceConfig, signature: dict,
             for choices, shape in selections]
 
 
-def preprocess_cases(adt: Adt, all_variants: bool = True) -> list[Case]:
+def preprocess_cases(adt: Adt, all_variants: bool = False) -> list[Case]:
     """Full pipeline, grouped by defence outcome.  Outcomes that leave the
-    same variants are merged into one case before any DAG is built.
+    same variants are merged into one case before any DAG is built.  An
+    invalid tree raises a ValueError naming its first problem.
 
     :meth:`_Tree.resolve` finds each distinct resolved tree once, with the
     first outcome that leaves it.  Each of them is walked by
@@ -877,12 +885,13 @@ def preprocess_cases(adt: Adt, all_variants: bool = True) -> list[Case]:
     Cases come in the order of their outcomes, and their representative
     configurations are those :func:`enumerate_defence_variants` lists.
 
-    With ``all_variants`` false a case keeps one variant per class of
-    selections whose DAGs differ only in labels (see
-    :func:`_or_selections`), the first of each in the full order.  Each
-    skipped variant would be scheduled exactly as its representative, so
-    the first fewest-agents variant of the full list is among those kept.
-    Trees whose generated names may clash (see :class:`_Tree`) are never
+    A case keeps one variant per class of selections whose DAGs differ
+    only in labels (see :func:`_or_selections`), the first of each in the
+    full order, as :func:`~adtsched.scheduler.analyse` does; with
+    ``all_variants`` it keeps every fastest selection.  Each skipped
+    variant would be scheduled exactly as its representative, so the first
+    fewest-agents variant of the full list is among those kept.  Trees
+    whose generated names may clash (see :class:`_Tree`) are never
     collapsed, so each variant is built as in the full list."""
     problems = validate_adt(adt)
     if problems:

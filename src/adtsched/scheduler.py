@@ -416,9 +416,7 @@ def _schedule_variant(variant: Variant,
     if problems:
         raise InternalError("schedule fails its check: %s: %s"
                             % (problems[0].node, problems[0].message))
-    # every node is placed, so node_runs reduces to this
-    assignment = {x: x.runs or ((x.agent, x.slot, x.weight),)
-                  for x in dag.nodes}
+    assignment = {x: node_runs(x) for x in dag.nodes}
     return ScheduleResult(variant, bounds.slots, agents, bounds, assignment)
 
 

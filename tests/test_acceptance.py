@@ -52,7 +52,7 @@ def cells_of(result):
 def schedule_cases(name):
     """(case, best result) pairs: fewest agents among feasible, first wins."""
     out = []
-    for case in preprocess_cases(load_tree(name)):
+    for case in preprocess_cases(load_tree(name), all_variants=True):
         results = min_schedule(case.variants)
         live = [r for r in results if r.feasible]
         out.append((case, min(live, key=lambda r: r.agents) if live else results[0]))
@@ -208,7 +208,7 @@ def test_exhaustive_oracle_on_200_trees():
             failures.append("random tree %d invalid" % trees)
             break
         trees += 1
-        for case in preprocess_cases(adt):
+        for case in preprocess_cases(adt, all_variants=True):
             for r in min_schedule(case.variants):
                 if not r.feasible or r.n == 0:
                     continue
@@ -246,7 +246,7 @@ def test_invariant_sweep():
         for label, node in adt.nodes.items():
             if per_origin.get(label, 0) != node.duration // tunit:
                 failures.append("%s: %s has wrong chain length" % (name, label))
-        for case in preprocess_cases(adt):
+        for case in preprocess_cases(adt, all_variants=True):
             for r in min_schedule(case.variants):
                 if not r.feasible or r.n == 0:
                     continue

@@ -94,6 +94,24 @@ def test_traced_functions_exist():
             (module, function)
 
 
+def test_benchmark_program_names_exist():
+    # the benchmark's worker and output checks call adtsched through a
+    # module handle; a name gone from the package would only show when a
+    # benchmark run reaches it
+    import adtsched.cli  # the worker imports it, so the handle has it
+    bench = README.parent / "perfbench"
+    used = set()
+    for script in ("reference.py", "worker.py"):
+        used |= set(re.findall(r"\bprogram\.([A-Za-z_][A-Za-z0-9_.]*)",
+                               (bench / script).read_text()))
+    assert {"parse_adt", "preprocess_cases", "cli"} <= used
+    for dotted in used:
+        target = adtsched
+        for part in dotted.split("."):
+            assert hasattr(target, part), dotted
+            target = getattr(target, part)
+
+
 def test_data_types_keep_their_contract():
     a, b = AdtNode("a", NodeKind.LEAF), AdtNode("a", NodeKind.LEAF)
     assert (a.children, a.duration, a.cost, a.condition, a.role) \

@@ -296,6 +296,29 @@ def test_default_schedule_schedules_one_variant_of_an_or_fan(
     assert len(json.loads(out)["variants"]) == 4096
 
 
+@pytest.mark.parametrize("name", sorted(
+    [path.stem for path in TREES.glob("*.adt")] + ["or-fan"]))
+def test_preprocess_cases_lists_what_analyse_schedules(monkeypatch, name):
+    text = or_fan_text(12) if name == "or-fan" \
+        else (TREES / (name + ".adt")).read_text()
+    adt = parse_adt(text)
+    sent = []
+
+    def counting(variants, min_schedule=scheduler.min_schedule, **kwargs):
+        sent.append([(v.signature, v.or_choices, v.dag.n) for v in variants])
+        return min_schedule(variants, **kwargs)
+
+    monkeypatch.setattr(scheduler, "min_schedule", counting)
+    scheduler.analyse(adt)
+    listed = [[(v.signature, v.or_choices, v.dag.n) for v in case.variants]
+              for case in scheduler.preprocess_cases(adt)]
+    assert sent == listed
+    if name == "or-fan":
+        [[_]] = listed
+        [full] = scheduler.preprocess_cases(adt, all_variants=True)
+        assert len(full.variants) == 4096
+
+
 def test_one_variant_per_class_schedules_as_the_full_list(
         capsys, monkeypatch, tmp_path):
     # a class member's DAG matches its representative's node for node, so
@@ -322,7 +345,7 @@ def test_one_variant_per_class_schedules_as_the_full_list(
 
     def full(adt, all_variants=True,
              preprocess_cases=scheduler.preprocess_cases):
-        cases = preprocess_cases(adt)
+        cases = preprocess_cases(adt, all_variants=True)
         skipped.append(sum(len(case.variants) for case in cases) - sum(
             len(case.variants) for case in preprocess_cases(adt, False)))
         return cases

@@ -266,7 +266,8 @@ def test_failed_nodef_countermeasure_makes_the_action_unnecessary():
                     "d: DEFENCE time=1\ne: DEFENCE time=1\n")
     outcome = {"d": FAILED, "e": OPERATING}
     assert names(apply_defence_config(adt, outcome)) == {"g'", "g_1", "g_2"}
-    case, = [c for c in preprocess_cases(adt) if outcome in c.merged_signatures]
+    case, = [c for c in preprocess_cases(adt, all_variants=True)
+             if outcome in c.merged_signatures]
     result, = min_schedule(case.variants)
     assert result.feasible
     assert result.slots == 2
@@ -299,14 +300,14 @@ def test_slower_or_branch_not_enumerated():
 
 def test_equal_or_branches_both_enumerated():
     adt = load_tree("iot-dev")
-    cases = preprocess_cases(adt)
+    cases = preprocess_cases(adt, all_variants=True)
     live = [c for c in cases if any(v.feasible for v in c.variants)]
     assert len(live) == 1
     assert [v.or_choices for v in live[0].variants] == [{"CPN": "AL"}, {"CPN": "AW"}]
 
 
 def test_or_choices_only_list_reachable_gates():
-    cases = preprocess_cases(load_tree("gain-admin"))
+    cases = preprocess_cases(load_tree("gain-admin"), all_variants=True)
     choice_sets = sorted(tuple(sorted(v.or_choices.items()))
                          for c in cases for v in c.variants)
     assert choice_sets == [
@@ -369,14 +370,14 @@ def test_or_walk_never_enters_a_slow_branch():
 
 
 def test_cases_merge_indistinguishable_outcomes():
-    cases = preprocess_cases(load_tree("iot-dev"))
+    cases = preprocess_cases(load_tree("iot-dev"), all_variants=True)
     blocked = [c for c in cases if not any(v.feasible for v in c.variants)]
     assert len(blocked) == 1
     assert len(blocked[0].merged_signatures) == 3
 
 
 def test_gain_admin_collapses_to_three_cases():
-    cases = preprocess_cases(load_tree("gain-admin"))
+    cases = preprocess_cases(load_tree("gain-admin"), all_variants=True)
     assert len(cases) == 3
     assert sorted(len(c.merged_signatures) for c in cases) == [1, 1, 2]
 
@@ -462,7 +463,8 @@ def test_nodef_fan_walks_each_outcome_once(walked):
 
 def test_or_of_counters_keeps_every_outcome():
     k = 6
-    cases = preprocess_cases(counter_fan("CAND", k, top="OR"))
+    cases = preprocess_cases(counter_fan("CAND", k, top="OR"),
+                             all_variants=True)
     live = [c for c in cases if c.variants[0].feasible]
     assert len(live) == 2 ** k - 1
     assert len(cases) == 2 ** k
@@ -499,7 +501,7 @@ def walks(text):
     """The one case of ``text`` with one variant per class, and in full."""
     adt = parse_adt(text)
     [by_class] = preprocess_cases(adt, all_variants=False)
-    [full] = preprocess_cases(adt)
+    [full] = preprocess_cases(adt, all_variants=True)
     assert by_class.variants[0].or_choices == full.variants[0].or_choices
     return by_class, full
 

@@ -64,7 +64,7 @@ def small_forest(count, **kwargs):
 def test_only_five_kinds_survive_preprocessing():
     allowed = {DagKind.SEQ, DagKind.NULL, DagKind.AND, DagKind.OR, DagKind.LEAF}
     for adt in forest(40, defence_prob=0.3):
-        for case in preprocess_cases(adt):
+        for case in preprocess_cases(adt, all_variants=True):
             for variant in case.variants:
                 assert {x.kind for x in variant.dag.nodes} <= allowed
 
@@ -92,7 +92,7 @@ def test_unit_steps_per_origin_match_the_durations():
 
 def test_feasible_variants_have_single_child_choices():
     for adt in forest(30, defence_prob=0.2):
-        for case in preprocess_cases(adt):
+        for case in preprocess_cases(adt, all_variants=True):
             for variant in case.variants:
                 if not variant.feasible:
                     continue
@@ -103,7 +103,7 @@ def test_feasible_variants_have_single_child_choices():
 
 def test_every_variant_node_is_reachable():
     for adt in forest(30, defence_prob=0.3):
-        for case in preprocess_cases(adt):
+        for case in preprocess_cases(adt, all_variants=True):
             for variant in case.variants:
                 if variant.dag.root is not None:
                     assert reachable(variant.dag) == set(variant.dag.nodes)
@@ -132,7 +132,7 @@ def test_failed_defences_never_remove_attack_work():
 def test_no_duplicate_variants_within_a_case():
     for adt in forest(40, defence_prob=0.4):
         fingerprints = set()
-        for case in preprocess_cases(adt):
+        for case in preprocess_cases(adt, all_variants=True):
             digests = [canonical_form(v.dag) for v in case.variants]
             assert len(digests) == len(set(digests))
             frozen = frozenset(digests)
@@ -156,7 +156,7 @@ def depth_by_rule(node):
 
 def test_depth_and_level_recurrences():
     for adt in forest(30, defence_prob=0.2):
-        for case in preprocess_cases(adt):
+        for case in preprocess_cases(adt, all_variants=True):
             results = min_schedule(case.variants)
             for r in results:
                 if not r.feasible or r.n == 0:
@@ -174,7 +174,7 @@ def test_depth_and_level_recurrences():
 
 def test_level_plus_depth_bounded_by_makespan():
     for adt in forest(30):
-        for case in preprocess_cases(adt):
+        for case in preprocess_cases(adt, all_variants=True):
             for r in min_schedule(case.variants):
                 if not r.feasible or r.n == 0:
                     continue
@@ -193,7 +193,7 @@ def test_level_plus_depth_bounded_by_makespan():
 
 def test_every_schedule_verifies_clean():
     for adt in forest(40, defence_prob=0.3):
-        for case in preprocess_cases(adt):
+        for case in preprocess_cases(adt, all_variants=True):
             for r in min_schedule(case.variants):
                 if r.feasible and r.n:
                     assert verify_schedule(r.variant.dag) == []
@@ -204,7 +204,7 @@ def test_precedence_pass_finds_every_breach():
     exactly the (step, nearest unit-step ancestor) pairs out of order."""
     rng = random.Random(SEED)
     for adt in forest(40, defence_prob=0.3):
-        for case in preprocess_cases(adt):
+        for case in preprocess_cases(adt, all_variants=True):
             for r in min_schedule(case.variants):
                 if not (r.feasible and r.n):
                     continue
@@ -245,7 +245,7 @@ def test_equal_shaped_variants_get_equal_schedules():
     for seed in range(3000):
         adt = random_adt(random.Random(seed), max_leaves=12, max_time=3,
                          defence_prob=0.2)
-        for case in preprocess_cases(adt):
+        for case in preprocess_cases(adt, all_variants=True):
             by_shape = {}
             for v in case.variants:
                 if v.feasible and v.dag.n:
@@ -262,9 +262,33 @@ def test_equal_shaped_variants_get_equal_schedules():
     assert groups > 100
 
 
+def test_one_variant_per_class_keeps_the_exhaustive_minimum():
+    # the benchmark's exhaustive check (perfbench/reference.py) reads
+    # preprocess_cases with its default: each case must give the minimum
+    # that the full list of variants gives
+    checked = 0
+    for seed in range(1000):
+        adt = random_adt(random.Random(seed), max_leaves=12, max_time=3,
+                         defence_prob=0.2)
+        cases = zip(preprocess_cases(adt),
+                    preprocess_cases(adt, all_variants=True), strict=True)
+        for by_class, full in cases:
+            assert by_class.signature == full.signature
+            live = [v for v in full.variants if v.feasible]
+            if not live or max(v.dag.n for v in live) > 12:
+                continue
+            kept = [v for v in by_class.variants if v.feasible]
+            assert max(v.dag.n for v in kept) == max(v.dag.n for v in live)
+            assert min(brute_force_min_agents(v.dag) for v in kept) \
+                == min(brute_force_min_agents(v.dag) for v in live), seed
+            checked += 1
+    assert checked > 1000
+
+
 def test_agents_are_contiguous_from_one():
     for adt in forest(30):
-        for r in min_schedule(preprocess_cases(adt)[0].variants):
+        case = preprocess_cases(adt, all_variants=True)[0]
+        for r in min_schedule(case.variants):
             if not r.feasible or r.n == 0:
                 continue
             agents = {x.agent for x in unit_dag(r.variant.dag).nodes
@@ -275,7 +299,8 @@ def test_agents_are_contiguous_from_one():
 def test_reshuffle_preserves_slots_and_load():
     rng = random.Random(SEED)
     for adt in small_forest(25):
-        r = min_schedule(preprocess_cases(adt)[0].variants)[0]
+        case = preprocess_cases(adt, all_variants=True)[0]
+        r = min_schedule(case.variants)[0]
         if not r.feasible or r.n == 0:
             continue
         dag = unit_dag(r.variant.dag)
@@ -297,7 +322,7 @@ def test_reshuffle_preserves_slots_and_load():
 
 def test_zero_duration_nodes_share_a_neighbouring_cell():
     for adt in forest(30, defence_prob=0.2):
-        for case in preprocess_cases(adt):
+        for case in preprocess_cases(adt, all_variants=True):
             for r in min_schedule(case.variants):
                 if not r.feasible or r.n == 0:
                     continue
@@ -315,7 +340,7 @@ def test_or_choice_cut_off_by_a_later_choice(seed):
     # a later OR choice makes an OR chosen earlier unreachable
     adt = random_adt(random.Random(seed), max_leaves=12, max_time=3,
                      defence_prob=0.2)
-    for case in preprocess_cases(adt):
+    for case in preprocess_cases(adt, all_variants=True):
         for r in min_schedule(case.variants):
             if not r.feasible:
                 continue
@@ -327,7 +352,7 @@ def test_or_choice_cut_off_by_a_later_choice(seed):
 
 def test_exhaustive_oracle_agrees():
     for adt in small_forest(60, defence_prob=0.25):
-        for case in preprocess_cases(adt):
+        for case in preprocess_cases(adt, all_variants=True):
             for r in min_schedule(case.variants):
                 if not r.feasible or r.n == 0:
                     continue
@@ -379,7 +404,7 @@ def test_outcomes_match_the_tree_critical_path():
     for adt in forest(300, max_leaves=12, max_time=3, defence_prob=0.4):
         tunit = math.gcd(*(x.duration for x in adt.nodes.values()))
         slots_of = {}
-        for case in preprocess_cases(adt):
+        for case in preprocess_cases(adt, all_variants=True):
             slots = [r.slots for r in min_schedule(case.variants)
                      if r.feasible]
             for sig in case.merged_signatures:
