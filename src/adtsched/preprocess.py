@@ -752,10 +752,7 @@ def _or_selections(shape: dict, root: str, weight: dict,
     exceeds R.  Every kept entry extends to a best selection, so the work
     is bounded by the tree and the output, and the nodes with a budget are
     exactly those that some selection keeps.  A selection carries its
-    choices as nested tuples, so that no pass copies what the passes below
-    it chose: ``(gate, child, rest)`` puts an OR's choice ahead of its
-    child's choices ``rest``, and ``(first, second)`` joins two non-empty
-    parts.  One walk per selection lists them in preorder, so
+    choices as one flat tuple of ``(gate, child)`` pairs in preorder, so
     ``or_choices`` lists the chosen gates in preorder; a variant shape
     lists the nodes reachable from the root, in preorder (the order
     :func:`_build` takes), each chosen OR keeping only its chosen child.
@@ -793,7 +790,8 @@ def _or_selections(shape: dict, root: str, weight: dict,
             elif kind is not DagKind.OR or fastest[child] <= rest:
                 budget[child] = rest
 
-    # a selection is (time, chosen); chosen nests its (gate, child) pairs
+    # a selection is (time, chosen); chosen is its (gate, child) pairs in
+    # preorder
     picks: dict = {}
     keys: dict = {}
     interned: dict = {}
@@ -809,7 +807,7 @@ def _or_selections(shape: dict, root: str, weight: dict,
                 for child in kids:
                     first.setdefault(keys[child], child)
                 entered = list(first.values())
-            partial = [(t, (label, child, chosen))
+            partial = [(t, ((label, child),) + chosen)
                        for child in entered
                        for t, chosen in picks[child]]
         else:
@@ -818,9 +816,7 @@ def _or_selections(shape: dict, root: str, weight: dict,
             partial = [(0, ())]
             for child in kids:
                 room += fastest[child]  # R minus later children's fastest
-                partial = [(t + u if sand else max(t, u),
-                            (chosen, more) if chosen and more
-                            else chosen or more)
+                partial = [(t + u if sand else max(t, u), chosen + more)
                            for t, chosen in partial
                            for u, more in picks[child]
                            if not sand or t + u <= room]
@@ -832,14 +828,7 @@ def _or_selections(shape: dict, root: str, weight: dict,
 
     out = []
     for _, chosen in picks[root]:
-        choices, stack = {}, [chosen]
-        while stack:
-            part = stack.pop()
-            if len(part) == 3:
-                choices[part[0]] = part[1]
-                stack.append(part[2])
-            elif part:
-                stack += (part[1], part[0])
+        choices = dict(chosen)
         variant, stack = {}, [root]
         while stack:
             label = stack.pop()

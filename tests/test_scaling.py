@@ -9,9 +9,16 @@ under a relaxed deadline.
 
 Line counts miss work done in C, such as a tuple that is copied as it
 grows.  So the second test times the stages that build and walk the
-resolved tree, with the collector off, at about 2,000 and 16,000 nodes:
-a linear stage grows about 8x there, a quadratic one about 64x.  Both
-tests leave the trace hook and the collector as they found them.
+resolved tree, with the collector off, at about 2,000 and 16,000 nodes,
+each against a plain loop that fills a dict of as many entries, timed
+alongside it, so that load and a larger working set slow both (a linear
+stage grows 9-11x there, not 8x).  A linear stage grows about as much as
+the loop, and the fold of each gate's children into growing tuples in
+``tests/reference_gate_fold.py`` about 3.6 times as much.  A copy that
+is cheap next to the Python work around it shows less: ``_or_selections``
+copies a selection's choices at every AND child, and reads 1.2-1.6 times
+the loop's growth here.  Both tests leave the trace hook and the
+collector as they found them.
 """
 
 import contextlib
@@ -141,6 +148,15 @@ def stages(nodes):
     }
 
 
+def loop(n):
+    """Linear work of about the stages' kind: n dict entries, each
+    holding a tuple, a list and a dict, summed."""
+    entries = {}
+    for i in range(n):
+        entries["n%d" % i] = (i, [i, i + 1], {"k": i})
+    return sum(v[0] for v in entries.values())
+
+
 def seconds(stage, make):
     args = make()
     start = time.perf_counter()
@@ -148,21 +164,27 @@ def seconds(stage, make):
     return time.perf_counter() - start
 
 
-def test_stages_grow_linearly_in_c_too():
-    """Best small call against the best large one: the large size runs
-    until one call is under the bound, at most five times."""
+def test_stages_grow_like_a_linear_loop():
+    """Each stage's growth over the loop's, from the best small call of
+    each to the best large one.  Rounds of three small calls and one large
+    call of each, interleaved, run until the bound of 2.5 holds, at most
+    six times."""
     collecting = gc.isenabled()
     gc.disable()
     try:
         small, large = stages(2000), stages(16000)
-        for name, (stage, make) in small.items():
-            bound = 16 * min(seconds(stage, make) for _ in range(9))
-            best = float("inf")
-            for _ in range(5):
-                best = min(best, seconds(*large[name]))
-                if best < bound:
+        for name in small:
+            runs = [(small[name], 3), ((loop, lambda: (2000,)), 3),
+                    (large[name], 1), ((loop, lambda: (16000,)), 1)]
+            best = [float("inf")] * 4
+            for _ in range(6):
+                best = [min(b, *(seconds(*run) for _ in range(times)))
+                        for b, (run, times) in zip(best, runs)]
+                stage, base, big, big_base = best
+                relative = big / stage / (big_base / base)
+                if relative < 2.5:
                     break
-            assert best < bound, (name, best, bound / 16)
+            assert relative < 2.5, (name, best)
     finally:
         if collecting:
             gc.enable()
