@@ -12,12 +12,11 @@ from adtsched import (
     FAILED,
     OPERATING,
     analyse,
-    defence_signature,
     parse_adt,
     preprocess_cases,
     validate_adt,
 )
-from adtsched.preprocess import defence_leaves
+from adtsched.preprocess import defence_leaves, defence_signature
 from adtsched.report import signature_heading
 
 TREE = pathlib.Path(__file__).resolve().parent.parent / "trees" / "gain-admin.adt"

@@ -9,7 +9,7 @@ short).
 
 import sys
 
-from adtsched import BENCH_ROWS, run_scalability
+from adtsched.generator import BENCH_ROWS, run_scalability
 
 
 def main():

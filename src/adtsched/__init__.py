@@ -22,7 +22,6 @@ from .preprocess import (
     Variant,
     apply_defence_config,
     compute_time_unit,
-    defence_signature,
     enumerate_defence_variants,
     enumerate_or_variants,
     expand_sand,
@@ -43,16 +42,9 @@ from .scheduler import (
     min_schedule,
     schedule_candidate,
     verify_schedule,
-    zero_assign,
 )
-from .report import render_table, signature_heading, to_csv, to_json, variant_cost
-from .generator import (
-    BENCH_ROWS,
-    InvalidParams,
-    bench_row,
-    generate_scaling_adt,
-    run_scalability,
-)
+from .report import render_table, to_csv, to_json
+from .generator import InvalidParams
 
 __version__ = "0.1.0"
 

@@ -612,9 +612,7 @@ class _Tree:
     """What every defence outcome of one tree shares: the attack and
     defence sides, the defence-subtree roots in gate order and in block
     order (see :func:`_block_order`), the resolved nodes met so far and
-    each node's duration in unit steps.  ``clash`` is true when a SAND
-    ``s`` and a label ``s'`` both exist, so that :func:`expand_sand` may
-    reject some variants by their names alone."""
+    each node's duration in unit steps."""
 
     def __init__(self, adt: Adt):
         self.adt = adt
@@ -622,9 +620,6 @@ class _Tree:
         self.blocks = _block_order(self.defence, self.roots)
         self.nodes: list = []  # key -> (label, DagKind, children's keys)
         self.keys: dict = {}
-        self.clash = any(node.kind is NodeKind.SAND
-                         and label + "'" in adt.nodes
-                         for label, node in adt.nodes.items())
 
     @functools.cached_property
     def weight(self) -> dict:
@@ -765,7 +760,12 @@ def _or_selections(shape: dict, root: str, weight: dict,
     first of its children with each key.  Each selection left stands for
     the ones it skipped, which come later in the full order: their DAGs
     match its DAG node for node, creation order included, so the scheduler
-    breaks every tie alike and gives them all its result.
+    breaks every tie alike and gives them all its result.  A SAND ``s`` and
+    a label ``s'`` that are both in ``shape`` key by label in place of kind,
+    so no other child of an OR shares the key of a child that holds either:
+    the members of a class keep the same such labels, and
+    :func:`expand_sand` raises the same :class:`NameCollision` on all of
+    them or on none.
     """
     if root not in shape:
         return [], frozenset()
@@ -791,7 +791,11 @@ def _or_selections(shape: dict, root: str, weight: dict,
                 budget[child] = rest
 
     # a selection is (time, chosen); chosen is its (gate, child) pairs in
-    # preorder
+    # preorder.  expand_sand checks the names that a SAND s and a label s'
+    # share, so with classes those two key by label in place of kind
+    by_name = {x: x for s, (kind, _) in shape.items()
+               if kind is DagKind.SAND and s + "'" in shape
+               for x in (s, s + "'")}
     picks: dict = {}
     keys: dict = {}
     interned: dict = {}
@@ -823,8 +827,8 @@ def _or_selections(shape: dict, root: str, weight: dict,
         picks[label] = [(t + weight[label], chosen) for t, chosen in partial]
         if classes:
             keys[label] = interned.setdefault(
-                (kind, weight[label], tuple(keys[c] for c in kids)),
-                len(interned))
+                (by_name.get(label, kind), weight[label],
+                 tuple(keys[c] for c in kids)), len(interned))
 
     out = []
     for _, chosen in picks[root]:
@@ -879,14 +883,14 @@ def preprocess_cases(adt: Adt, all_variants: bool = False) -> list[Case]:
     full order, as :func:`~adtsched.scheduler.analyse` does; with
     ``all_variants`` it keeps every fastest selection.  Each skipped
     variant would be scheduled exactly as its representative, so the first
-    fewest-agents variant of the full list is among those kept.  Trees
-    whose generated names may clash (see :class:`_Tree`) are never
-    collapsed, so each variant is built as in the full list."""
+    fewest-agents variant of the full list is among those kept; and a
+    skipped variant that would raise :class:`NameCollision` has a
+    representative, earlier in the full order, that raises the same
+    error."""
     problems = validate_adt(adt)
     if problems:
         raise ValueError("invalid tree: %s" % problems[0].message)
     tree = _Tree(adt)
-    classes = not all_variants and not tree.clash
     found = tree.resolve({root: (FAILED, OPERATING) for root in tree.roots})
     cases: list[Case] = []
     by_labels: dict = {}
@@ -894,7 +898,7 @@ def preprocess_cases(adt: Adt, all_variants: bool = False) -> list[Case]:
     merge = functools.partial(_merge_signatures, tree, by_key)
     for key, statuses in sorted(found.items(), key=lambda item: item[1]):
         selections, labels = _or_selections(
-            tree.shape(key), adt.root, tree.weight, classes)
+            tree.shape(key), adt.root, tree.weight, not all_variants)
         case = by_labels.get(labels)
         if case is None:
             config = _config(adt, tree.blocks, statuses)

@@ -25,6 +25,10 @@ The runs are
   prints by stretches of rows;
 * every input of the four workloads in ``perfbench/workloads.py`` at seeds
   1 and 2, each under ``schedule`` with its own flags;
+* the trees of the first item at seeds 0..1499 that have a SAND ``s``,
+  with one other non-root label renamed to ``s'``, so the SAND's joints
+  ``s'_1 ..`` may meet the steps of ``s'``; each under every entry of
+  ``PRIMED_INVOCATIONS``;
 * ``generate --emit result`` for every row of ``BENCH_ROWS``.
 
 The tree file is always ``tree.adt`` in the current directory, so messages
@@ -54,6 +58,35 @@ TREE_INVOCATIONS = [
     ["export", TREE, "--dot", "--stage", "variant:1"],
     ["export", TREE, "--dot", "--stage", "normalized"],
 ]
+
+PRIMED_INVOCATIONS = [
+    ["schedule", TREE],
+    ["schedule", TREE, "--json"],
+    ["schedule", TREE, "--csv"],
+    ["schedule", TREE, "--all-or-variants", "--csv"],
+    ["schedule", TREE, "--slots-override", "9", "--json"],
+    ["variants", TREE],
+    ["export", TREE, "--dot", "--stage", "variant:1"],
+]
+
+
+def primed(adt, rng):
+    """``adt`` with a label other than the root and a SAND ``s`` renamed to
+    ``s'``, ``s`` picked by ``rng`` among its SANDs; None if it has none."""
+    sands = [label for label, node in adt.nodes.items()
+             if node.kind.name == "SAND"]
+    if not sands:
+        return None
+    sand = rng.choice(sands)
+    old = rng.choice([label for label in adt.nodes
+                      if label not in (adt.root, sand)])
+    new = sand + "'"
+    for node in adt.nodes.values():
+        node.children = [new if c == old else c for c in node.children]
+    adt.nodes[old].label = new
+    adt.nodes = {new if label == old else label: node
+                 for label, node in adt.nodes.items()}
+    return adt
 
 
 def inputs(serialize_adt, rand_trees, workloads, bench_rows):
@@ -88,6 +121,13 @@ def inputs(serialize_adt, rand_trees, workloads, bench_rows):
         for seed in (1, 2):
             for item in workloads.build(name, seed):
                 yield item.text, [["schedule", TREE] + item.flags]
+    for seed in range(1500):
+        rng = random.Random(seed)
+        adt = primed(rand_trees.random_adt(
+            rng, max_leaves=12, max_time=3,
+            defence_prob=(0.2, 0.4, 0.6)[seed % 3]), rng)
+        if adt is not None:
+            yield serialize_adt(adt), PRIMED_INVOCATIONS
     yield "", [["generate", "--depth", str(d), "--width", str(w),
                 "--children", str(c), "--emit", "result"]
                for d, w, c in bench_rows]

@@ -73,15 +73,12 @@ def reference_cases(adt, all_variants=True):
     tunit = compute_time_unit(adt)
     weight = {label: node.duration // tunit
               for label, node in adt.nodes.items()}
-    clash = any(node.kind is NodeKind.SAND and label + "'" in adt.nodes
-                for label, node in adt.nodes.items())
-    classes = not all_variants and not clash
     cases, by_labels = [], {}
     for config in reference_defence_variants(adt):
         signature = _signature(defence, roots, config)
         shape = reference_resolve(signature, attack)
         selections, labels = _or_selections(
-            shape, adt.root, weight, classes)
+            shape, adt.root, weight, not all_variants)
         known = by_labels.get(labels)
         if known is not None:
             known["merged_signatures"].append(signature)

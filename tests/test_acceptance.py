@@ -15,18 +15,17 @@ from adtsched import (
     brute_force_min_agents,
     compute_time_unit,
     expand_sand,
-    generate_scaling_adt,
     min_schedule,
     normalize_time,
     parse_adt,
     preprocess_cases,
-    run_scalability,
     schedule_candidate,
     serialize_adt,
     unit_dag,
     validate_adt,
     verify_schedule,
 )
+from adtsched.generator import generate_scaling_adt, run_scalability
 from adtsched.preprocess import copy_dag
 from adtsched.report import render_table
 

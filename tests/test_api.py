@@ -3,6 +3,7 @@
 import importlib
 import pathlib
 import re
+import types
 
 import pytest
 
@@ -66,6 +67,16 @@ def test_library_example_prints_what_readme_shows(capsys, monkeypatch):
 def test_every_export_resolves():
     for name in adtsched.__all__:
         assert hasattr(adtsched, name), name
+
+
+def test_package_binds_only_its_exports():
+    # a helper a submodule defines is reached through that submodule, so
+    # the package's public names besides its submodules are exactly __all__
+    public = {name for name, value in vars(adtsched).items()
+              if not name.startswith("_")
+              and not isinstance(value, types.ModuleType)}
+    assert public == {name for name in adtsched.__all__
+                      if not name.startswith("_")}
 
 
 def test_preprocess_names_the_module():

@@ -273,6 +273,24 @@ def or_fan_text(k):
     return "\n".join(lines) + "\n"
 
 
+def primed_fan_text(k):
+    """``or_fan_text(k)`` ANDed with a SAND ``s`` and a label ``s'`` of
+    time 0, which has no step ``s'_1`` that could clash."""
+    head, rest = or_fan_text(k).split("\n", 1)
+    return (head[:-1] + ", s, s')\n" + rest + "s: SAND(c, d)\n"
+            "c: ATTACK time=1\nd: ATTACK time=1\ns': ATTACK time=0\n")
+
+
+# each ORs two equally shaped branches, and the second holds a timed s' or
+# a SAND s whose names clash with those of the s outside the OR
+SKIPPED_S_PRIME = ("r: AND(s, o)\ns: SAND(a, b)\no: OR(x, s')\n"
+                   "a: ATTACK time=1\nb: ATTACK time=1\n"
+                   "x: ATTACK time=1\ns': ATTACK time=1\n")
+SKIPPED_S = ("r: AND(o, s')\no: OR(u, s)\nu: SAND(a, b)\ns: SAND(c, d)\n"
+             "a: ATTACK time=1\nb: ATTACK time=1\nc: ATTACK time=1\n"
+             "d: ATTACK time=1\ns': ATTACK time=1\n")
+
+
 def test_default_schedule_schedules_one_variant_of_an_or_fan(
         capsys, monkeypatch, tmp_path):
     tree = tmp_path / "or-fan.adt"
@@ -319,6 +337,15 @@ def test_preprocess_cases_lists_what_analyse_schedules(monkeypatch, name):
         assert len(full.variants) == 4096
 
 
+def test_a_primed_label_keeps_the_collapse():
+    # s and s' key by name, so the fan's ORs still collapse
+    adt = parse_adt(primed_fan_text(12))
+    [case] = scheduler.preprocess_cases(adt)
+    assert len(case.variants) == 1
+    [full] = scheduler.preprocess_cases(adt, all_variants=True)
+    assert len(full.variants) == 4096
+
+
 def test_one_variant_per_class_schedules_as_the_full_list(
         capsys, monkeypatch, tmp_path):
     # a class member's DAG matches its representative's node for node, so
@@ -326,6 +353,9 @@ def test_one_variant_per_class_schedules_as_the_full_list(
     paths = [str(path) for path in sorted(TREES.glob("*.adt"))]
     for name, text in (
             ("or-fan", or_fan_text(6)),
+            ("primed-fan", primed_fan_text(6)),
+            ("skipped-s-prime", SKIPPED_S_PRIME),
+            ("skipped-s", SKIPPED_S),
             ("and-order", "r: OR(x, y)\nx: AND(a, b)\ny: AND(d, c)\n"
                           "a: ATTACK time=1\nb: ATTACK time=2\n"
                           "c: ATTACK time=1\nd: ATTACK time=2\n")):
@@ -345,9 +375,10 @@ def test_one_variant_per_class_schedules_as_the_full_list(
 
     def full(adt, all_variants=True,
              preprocess_cases=scheduler.preprocess_cases):
+        skipped.append(0)  # stays 0 where the full list raises
         cases = preprocess_cases(adt, all_variants=True)
-        skipped.append(sum(len(case.variants) for case in cases) - sum(
-            len(case.variants) for case in preprocess_cases(adt, False)))
+        skipped[-1] = sum(len(case.variants) for case in cases) - sum(
+            len(case.variants) for case in preprocess_cases(adt, False))
         return cases
 
     monkeypatch.setattr(scheduler, "preprocess_cases", full)
@@ -359,15 +390,15 @@ def test_one_variant_per_class_schedules_as_the_full_list(
 
 
 def test_name_clash_in_a_skipped_branch_is_still_an_error(capsys, tmp_path):
-    # x and s' have one shape, so a walk by classes could skip s'; its
-    # step s'_1 clashes with the first SAND joint of s all the same
+    # x and s' have one shape, and so have u and s, so a walk by classes
+    # could skip s' or s; the step s'_1 clashes with the first SAND joint
+    # of s all the same
     tree = tmp_path / "clash.adt"
-    tree.write_text("r: AND(s, o)\ns: SAND(a, b)\no: OR(x, s')\n"
-                    "a: ATTACK time=1\nb: ATTACK time=1\n"
-                    "x: ATTACK time=1\ns': ATTACK time=1\n")
-    for flags in ((), ("--all-or-variants",)):
-        assert run(capsys, "schedule", str(tree), *flags) \
-            == (2, "", "error: generated name \"s'_1\" already exists\n")
+    for text in (SKIPPED_S_PRIME, SKIPPED_S):
+        tree.write_text(text)
+        for flags in ((), ("--all-or-variants",)):
+            assert run(capsys, "schedule", str(tree), *flags) == (
+                2, "", "error: generated name \"s'_1\" already exists\n")
 
 
 # ------------------------------------------------------------------- export

@@ -13,7 +13,8 @@ import sys
 
 import pytest
 
-from adtsched import BENCH_ROWS, cli
+from adtsched import cli
+from adtsched.generator import BENCH_ROWS
 
 DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
 

@@ -3,15 +3,12 @@ import io
 
 import pytest
 
-from adtsched import (
+from adtsched import InvalidParams, NodeKind, min_schedule, validate_adt
+from adtsched.generator import (
     BENCH_ROWS,
-    InvalidParams,
-    NodeKind,
     bench_row,
     generate_scaling_adt,
-    min_schedule,
     run_scalability,
-    validate_adt,
 )
 
 from conftest import preprocess

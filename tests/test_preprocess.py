@@ -14,7 +14,6 @@ from adtsched import (
     NameCollision,
     apply_defence_config,
     compute_time_unit,
-    defence_signature,
     enumerate_defence_variants,
     enumerate_or_variants,
     expand_sand,
@@ -32,6 +31,7 @@ from adtsched.preprocess import (
     canonical_form,
     copy_dag,
     defence_roots,
+    defence_signature,
 )
 
 from conftest import TREES, load_tree, preprocess

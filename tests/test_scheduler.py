@@ -19,10 +19,10 @@ from adtsched import (
     schedule_candidate,
     unit_dag,
     verify_schedule,
-    zero_assign,
 )
 from adtsched import scheduler
 from adtsched.preprocess import copy_dag
+from adtsched.scheduler import zero_assign
 
 from reference_heap_packer import _reshuffle
 
