@@ -281,8 +281,8 @@ def primed_fan_text(k):
             "c: ATTACK time=1\nd: ATTACK time=1\ns': ATTACK time=0\n")
 
 
-# each ORs two equally shaped branches, and the second holds a timed s' or
-# a SAND s whose names clash with those of the s outside the OR
+# each tree ORs two equally shaped branches, and the second holds a timed
+# s' or a SAND s whose names clash with those of the s outside the OR
 SKIPPED_S_PRIME = ("r: AND(s, o)\ns: SAND(a, b)\no: OR(x, s')\n"
                    "a: ATTACK time=1\nb: ATTACK time=1\n"
                    "x: ATTACK time=1\ns': ATTACK time=1\n")
